@@ -9,17 +9,15 @@ use std::time::{Duration, Instant};
 
 use atpg_easy_cnf::circuit;
 use atpg_easy_netlist::Netlist;
-use atpg_easy_obs::{Counters, CountingProbe, InstanceTrace, NoProbe};
+use atpg_easy_obs::{CountingProbe, InstanceTrace, NoProbe};
 use atpg_easy_sat::{
     CachingBacktracking, Cdcl, Dpll, Limits, Outcome, SimpleBacktracking, Solver, SolverStats,
 };
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 use crate::certify::{CertifiedRun, StreamSink};
-use crate::driver::{CampaignDriver, DriverError};
-use crate::faultsim::{FaultSimulator, SimBuffers, WIDE_PATTERNS};
-use crate::{fault, miter, verify, Fault};
+use crate::driver::CampaignDriver;
+use crate::faultsim::{FaultSimulator, SimBuffers};
+use crate::{miter, verify, Fault};
 
 /// Which solver backs the campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -141,6 +139,22 @@ pub struct FaultRecord {
     pub solve_time: Duration,
     /// Machine-independent solver counters.
     pub stats: SolverStats,
+}
+
+impl FaultRecord {
+    /// The record of a fault retired without a SAT instance: by
+    /// simulation or by the static pre-pass.
+    pub(crate) fn unsolved(fault: Fault, outcome: FaultOutcome) -> Self {
+        FaultRecord {
+            fault,
+            outcome,
+            sat_vars: 0,
+            sat_clauses: 0,
+            sub_size: 0,
+            solve_time: Duration::ZERO,
+            stats: SolverStats::default(),
+        }
+    }
 }
 
 /// The outcome of a whole campaign.
@@ -378,161 +392,18 @@ fn build_driver(
     tracing: bool,
     certified: bool,
 ) -> CampaignDriver {
-    match CampaignDriver::try_new(nl.clone(), config, tracing, certified) {
-        Ok(driver) => driver,
-        Err(DriverError::Preflight(msg)) => panic!("{msg}"),
-    }
-}
-
-/// Runs the preflight lint if the config asks for it.
-///
-/// # Panics
-///
-/// Panics with the rendered diagnostic report on lint errors.
-pub(crate) fn check_preflight(nl: &Netlist, config: &AtpgConfig) {
-    if config.preflight {
-        let report = atpg_easy_lint::preflight(nl);
-        assert!(
-            !report.has_errors(),
-            "netlist `{}` failed ATPG preflight:\n{}",
-            nl.name(),
-            report.render_human()
-        );
-    }
-}
-
-/// The fault list the campaign targets, after the configured collapsing.
-pub(crate) fn target_faults(nl: &Netlist, config: &AtpgConfig) -> Vec<Fault> {
-    if config.dominance {
-        fault::collapse_with_dominance(nl)
-    } else if config.collapse {
-        fault::collapse(nl)
-    } else {
-        fault::all_faults(nl)
-    }
-}
-
-/// Phase 1: simulates `config.random_patterns` random vectors against the
-/// fault list, marking hits in `detected`, and returns the batches that
-/// retired at least one new fault. Deterministic in `config.seed`; the
-/// parallel engine runs this identically (single-threaded) before fanning
-/// out, which is what makes its output thread-count independent.
-///
-/// Batches are [`WIDE_PATTERNS`] (256) patterns wide: one block-parallel
-/// pass per batch retires four word-widths of patterns at the cost of a
-/// single cone resimulation per fault, with every per-net buffer reused
-/// across batches.
-pub(crate) fn random_phase(
-    nl: &Netlist,
-    config: &AtpgConfig,
-    fs: &FaultSimulator,
-    faults: &[Fault],
-    detected: &mut [bool],
-) -> Vec<Vec<bool>> {
-    let mut tests = Vec::new();
-    if config.random_patterns == 0 || nl.num_inputs() == 0 {
-        return tests;
-    }
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut bufs = SimBuffers::default();
-    let mut remaining = config.random_patterns;
-    while remaining > 0 {
-        let batch = remaining.min(WIDE_PATTERNS);
-        remaining -= batch;
-        let vectors: Vec<Vec<bool>> = (0..batch)
-            .map(|_| (0..nl.num_inputs()).map(|_| rng.random_bool(0.5)).collect())
-            .collect();
-        let hits = fs.detect_batch_wide(nl, &vectors, faults, &mut bufs);
-        let mut useful = false;
-        for (i, hit) in hits.into_iter().enumerate() {
-            if hit && !detected[i] {
-                detected[i] = true;
-                useful = true;
-            }
-        }
-        if useful {
-            tests.extend(vectors);
-        }
-    }
-    tests
-}
-
-/// The record for a fault retired by simulation (no SAT instance built).
-pub(crate) fn simulated_record(f: Fault) -> FaultRecord {
-    FaultRecord {
-        fault: f,
-        outcome: FaultOutcome::DetectedBySimulation,
-        sat_vars: 0,
-        sat_clauses: 0,
-        sub_size: 0,
-        solve_time: Duration::ZERO,
-        stats: SolverStats::default(),
-    }
-}
-
-/// The record for a fault retired by the static implication pre-pass
-/// (no SAT instance built).
-pub(crate) fn static_redundant_record(f: Fault) -> FaultRecord {
-    FaultRecord {
-        fault: f,
-        outcome: FaultOutcome::StaticallyRedundant,
-        sat_vars: 0,
-        sat_clauses: 0,
-        sub_size: 0,
-        solve_time: Duration::ZERO,
-        stats: SolverStats::default(),
-    }
-}
-
-/// The faults of `faults` proved redundant by the static implication
-/// pre-pass, as a parallel `bool` mask. Shared by the sequential driver
-/// and the parallel engine so both prune the identical set.
-pub(crate) fn static_prune_mask(nl: &Netlist, faults: &[Fault]) -> Vec<bool> {
-    let analysis = atpg_easy_implic::analyze(nl);
-    faults
-        .iter()
-        .map(|f| analysis.is_redundant(f.net, f.stuck))
-        .collect()
+    CampaignDriver::try_new(nl.clone(), config, tracing, certified)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Builds, encodes and solves the ATPG-SAT instance for one fault.
 ///
 /// Deterministic apart from the wall-clock `solve_time` field (and any
 /// wall-clock limit in `config.limits`): identical inputs produce an
-/// identical record. Both the sequential and the parallel campaign engines
-/// funnel through this.
+/// identical record. From-scratch campaign solves build their instances
+/// the same way.
 pub fn solve_one(nl: &Netlist, f: Fault, config: &AtpgConfig) -> FaultRecord {
     solve_instance(nl, f, config, None, None)
-}
-
-/// Like [`solve_one`], but observes the solve through a [`CountingProbe`]
-/// and returns the probe-derived per-instance event totals alongside the
-/// record. The record itself is identical to what [`solve_one`] produces.
-pub(crate) fn solve_one_counted(
-    nl: &Netlist,
-    f: Fault,
-    config: &AtpgConfig,
-) -> (FaultRecord, Counters) {
-    let mut probe = CountingProbe::default();
-    let record = solve_instance(nl, f, config, Some(&mut probe), None);
-    (record, probe.counters)
-}
-
-/// Like [`solve_one_counted`], but additionally logs the instance into
-/// `sink` as a from-scratch certified solve: a
-/// [`Reset`](atpg_easy_proof::Event::Reset), the instance's formula as
-/// axioms, and a `SolveBegin(index)`/`SolveEnd` bracket around the
-/// solver's derivations.
-pub(crate) fn solve_one_certified(
-    nl: &Netlist,
-    f: Fault,
-    config: &AtpgConfig,
-    index: usize,
-    sink: &mut StreamSink,
-) -> (FaultRecord, Counters) {
-    let mut probe = CountingProbe::default();
-    let record = solve_instance(nl, f, config, Some(&mut probe), Some((index, sink)));
-    (record, probe.counters)
 }
 
 /// The Figure-1 outcome label of a fault record: `"SAT"`, `"UNSAT"`,
@@ -548,33 +419,12 @@ pub fn outcome_label(outcome: &FaultOutcome) -> &'static str {
     }
 }
 
-/// Builds the [`InstanceTrace`] for one solved SAT instance. `seq` is the
-/// record's index in the campaign's deterministic commit order; `worker`
-/// is the id of the thread that solved it (0 for sequential runs).
-pub(crate) fn fault_trace(
-    nl: &Netlist,
-    seq: u64,
-    record: &FaultRecord,
-    counters: Counters,
-    worker: u64,
-    proof_bytes: u64,
-) -> InstanceTrace {
-    InstanceTrace {
-        seq,
-        circuit: nl.name().to_string(),
-        fault: record.fault.describe(nl),
-        vars: record.sat_vars as u64,
-        clauses: record.sat_clauses as u64,
-        sub_size: record.sub_size as u64,
-        outcome: outcome_label(&record.outcome).to_string(),
-        wall_ns: record.solve_time.as_nanos() as u64,
-        worker,
-        proof_bytes,
-        counters,
-    }
-}
-
-fn solve_instance(
+/// Builds, encodes and solves the ATPG-SAT instance for one fault from
+/// scratch, observing the solve through `probe` and logging it into the
+/// proof stream of `cert` (a [`Reset`](atpg_easy_proof::Event::Reset),
+/// the formula as axioms, and a `SolveBegin(index)`/`SolveEnd` bracket
+/// around the solver's derivations) when given.
+pub(crate) fn solve_instance(
     nl: &Netlist,
     f: Fault,
     config: &AtpgConfig,
@@ -631,6 +481,7 @@ fn solve_instance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault;
     use atpg_easy_netlist::parser::bench;
 
     fn c17() -> Netlist {
@@ -771,11 +622,9 @@ mod tests {
         assert!(det.iter().all(|&d| d), "full coverage from dominance set");
     }
 
-    #[test]
-    #[should_panic(expected = "failed ATPG preflight")]
-    fn preflight_rejects_malformed_netlist() {
-        // An undriven net feeding an output trips N002 before any miter
-        // is built.
+    /// An undriven net feeding an output: trips N002 before any miter
+    /// is built.
+    fn ghost() -> Netlist {
         let mut nl = Netlist::new("ghost");
         let a = nl.add_input("a");
         let ghost = nl.add_net("ghost").unwrap();
@@ -783,7 +632,21 @@ mod tests {
             .add_gate_named(atpg_easy_netlist::GateKind::And, vec![a, ghost], "y")
             .unwrap();
         nl.add_output(y);
-        run(&nl, &AtpgConfig::default());
+        nl
+    }
+
+    #[test]
+    #[should_panic(expected = "failed ATPG preflight")]
+    fn preflight_rejects_malformed_netlist() {
+        run(&ghost(), &AtpgConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "failed ATPG preflight")]
+    fn parallel_preflight_rejects_malformed_netlist() {
+        crate::AtpgCampaign::new(AtpgConfig::default())
+            .with_threads(2)
+            .run(&ghost());
     }
 
     #[test]

@@ -1,14 +1,27 @@
-//! A resumable, owning campaign handle: the sequential TEGUS loop of
-//! [`campaign::run`] unrolled into a state machine that is driven one
-//! fault at a time.
+//! The campaign state machine: the TEGUS loop of [`campaign::run`]
+//! unrolled into a handle that is driven one fault at a time, built from
+//! the three parts every campaign engine shares.
 //!
-//! [`CampaignDriver`] is the primitive the serving layer schedules:
-//! construction performs the preflight, fault enumeration and the
-//! random-pattern phase; every [`CampaignDriver::step`] then solves (or
-//! sim-retires) exactly one fault and returns its record. Between steps a
-//! scheduler can park the driver, tighten its wall budget against an
-//! approaching deadline ([`CampaignDriver::clamp_wall`]), or abandon the
-//! remaining faults ([`CampaignDriver::abandon`]).
+//! - **Setup** (`CampaignSetup`) is read-only once built: the preflight,
+//!   fault collapse, the static-prune mask, the cone [`FaultSimulator`]
+//!   and the random-pattern phase. The parallel engine builds one and
+//!   shares it by reference with every worker.
+//! - **Solver context** (`SolverContext`) owns the optional warm
+//!   [`IncrementalAtpg`], the optional [`StreamSink`] proof stream and
+//!   whether solves are observed through a counting probe. It is the only
+//!   place a fault gets solved; each parallel worker owns one.
+//! - **Commit state** (`CommitState`) holds the detected bits, the tests,
+//!   the records and the traces. Applying a verdict's drop hits and
+//!   emitting records go through it, from [`CampaignDriver::step`] and
+//!   from the parallel commit loop alike.
+//!
+//! [`CampaignDriver`] is the sequential composition of the three and the
+//! primitive the serving layer schedules: construction builds the setup;
+//! every [`CampaignDriver::step`] then solves (or retires) exactly one
+//! fault and returns its record. Between steps a scheduler can park the
+//! driver, tighten its wall budget against an approaching deadline
+//! ([`CampaignDriver::clamp_wall`]), or abandon the remaining faults
+//! ([`CampaignDriver::abandon`]).
 //!
 //! The library entry points [`campaign::run`], [`campaign::run_traced`]
 //! and [`campaign::run_certified`] are thin loops over this driver, so
@@ -18,13 +31,15 @@
 use std::time::Duration;
 
 use atpg_easy_netlist::Netlist;
-use atpg_easy_obs::{Counters, InstanceTrace};
+use atpg_easy_obs::{Counters, CountingProbe, InstanceTrace};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 use crate::campaign::{self, AtpgConfig, CampaignResult, FaultOutcome, FaultRecord};
 use crate::certify::StreamSink;
-use crate::faultsim::{FaultSimulator, SimBuffers};
+use crate::faultsim::{FaultSimulator, SimBuffers, WIDE_PATTERNS};
 use crate::incremental::IncrementalAtpg;
-use crate::Fault;
+use crate::{fault, Fault};
 
 /// Why a [`CampaignDriver`] could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,26 +60,298 @@ impl std::fmt::Display for DriverError {
 
 impl std::error::Error for DriverError {}
 
+/// The read-only part of a campaign: the targeted fault list, the
+/// static-prune mask and the cone fault simulator.
+pub(crate) struct CampaignSetup {
+    pub(crate) faults: Vec<Fault>,
+    pruned: Vec<bool>,
+    fs: FaultSimulator,
+}
+
+impl CampaignSetup {
+    /// Runs the preflight, fault collapse, the static implication
+    /// pre-pass and the random-pattern phase over `nl`. Returns the setup
+    /// and the commit state the random phase seeds: its detected bits and
+    /// the batches that retired at least one fault.
+    pub(crate) fn new(
+        nl: &Netlist,
+        config: &AtpgConfig,
+    ) -> Result<(Self, CommitState), DriverError> {
+        if config.preflight {
+            let report = atpg_easy_lint::preflight(nl);
+            if report.has_errors() {
+                return Err(DriverError::Preflight(format!(
+                    "netlist `{}` failed ATPG preflight:\n{}",
+                    nl.name(),
+                    report.render_human()
+                )));
+            }
+        }
+        let faults = if config.dominance {
+            fault::collapse_with_dominance(nl)
+        } else if config.collapse {
+            fault::collapse(nl)
+        } else {
+            fault::all_faults(nl)
+        };
+        let pruned = if config.static_prune {
+            let analysis = atpg_easy_implic::analyze(nl);
+            faults
+                .iter()
+                .map(|f| analysis.is_redundant(f.net, f.stuck))
+                .collect()
+        } else {
+            vec![false; faults.len()]
+        };
+        let fs = FaultSimulator::with_cones(nl);
+        let mut detected = vec![false; faults.len()];
+        let tests = random_phase(nl, config, &fs, &faults, &mut detected);
+        let commit = CommitState {
+            detected,
+            result: CampaignResult {
+                records: Vec::with_capacity(faults.len()),
+                tests,
+            },
+            traces: Vec::new(),
+        };
+        Ok((CampaignSetup { faults, pruned, fs }, commit))
+    }
+}
+
+/// Simulates `config.random_patterns` random vectors against the fault
+/// list, marking hits in `detected`, and returns the batches that retired
+/// at least one new fault. Deterministic in `config.seed`.
+///
+/// Batches are [`WIDE_PATTERNS`] (256) patterns wide: one block-parallel
+/// pass per batch retires four word-widths of patterns at the cost of a
+/// single cone resimulation per fault, with every per-net buffer reused
+/// across batches.
+fn random_phase(
+    nl: &Netlist,
+    config: &AtpgConfig,
+    fs: &FaultSimulator,
+    faults: &[Fault],
+    detected: &mut [bool],
+) -> Vec<Vec<bool>> {
+    let mut tests = Vec::new();
+    if config.random_patterns == 0 || nl.num_inputs() == 0 {
+        return tests;
+    }
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut bufs = SimBuffers::default();
+    let mut remaining = config.random_patterns;
+    while remaining > 0 {
+        let batch = remaining.min(WIDE_PATTERNS);
+        remaining -= batch;
+        let vectors: Vec<Vec<bool>> = (0..batch)
+            .map(|_| (0..nl.num_inputs()).map(|_| rng.random_bool(0.5)).collect())
+            .collect();
+        let hits = fs.detect_batch_wide(nl, &vectors, faults, &mut bufs);
+        let mut useful = false;
+        for (i, hit) in hits.into_iter().enumerate() {
+            if hit && !detected[i] {
+                detected[i] = true;
+                useful = true;
+            }
+        }
+        if useful {
+            tests.extend(vectors);
+        }
+    }
+    tests
+}
+
+/// One solved fault on its way to the commit state.
+pub(crate) struct Solved {
+    /// Fault index in the setup's fault list.
+    pub(crate) index: usize,
+    pub(crate) record: FaultRecord,
+    /// For a detected fault with dropping on: one bit per fault of the
+    /// setup, set iff the record's test vector detects it.
+    hits: Option<Vec<u64>>,
+    /// Probe-derived event totals (zero unless the context counts).
+    pub(crate) counters: Counters,
+    /// Proof bytes the solve logged (0 unless certified).
+    pub(crate) proof_bytes: u64,
+}
+
+impl Solved {
+    /// The instance's trace line; `seq` is the fault index, which is also
+    /// the record's index in the campaign result.
+    pub(crate) fn trace(&self, nl: &Netlist, worker: u64) -> InstanceTrace {
+        let r = &self.record;
+        InstanceTrace {
+            seq: self.index as u64,
+            circuit: nl.name().to_string(),
+            fault: r.fault.describe(nl),
+            vars: r.sat_vars as u64,
+            clauses: r.sat_clauses as u64,
+            sub_size: r.sub_size as u64,
+            outcome: campaign::outcome_label(&r.outcome).to_string(),
+            wall_ns: r.solve_time.as_nanos() as u64,
+            worker,
+            proof_bytes: self.proof_bytes,
+            counters: self.counters,
+        }
+    }
+}
+
+/// Everything a solve mutates: the optional warm solver, the optional
+/// proof stream and the scratch buffers for drop-hit simulation.
+pub(crate) struct SolverContext {
+    warm: Option<IncrementalAtpg>,
+    sink: Option<StreamSink>,
+    counted: bool,
+    bufs: SimBuffers,
+}
+
+impl SolverContext {
+    /// A context over `nl`. With `config.incremental` it encodes a warm
+    /// solver; with `certified` it logs every solve into its own proof
+    /// stream; with `counted` it observes every solve through a
+    /// [`CountingProbe`] (an untraced sequential solve stays unprobed).
+    pub(crate) fn new(nl: &Netlist, config: &AtpgConfig, counted: bool, certified: bool) -> Self {
+        let mut sink = certified.then(StreamSink::new);
+        let warm = config.incremental.then(|| IncrementalAtpg::new(nl, config));
+        if let (Some(s), Some(w)) = (sink.as_mut(), warm.as_ref()) {
+            w.record_base_axioms(s);
+        }
+        SolverContext {
+            warm,
+            sink,
+            counted,
+            bufs: SimBuffers::default(),
+        }
+    }
+
+    /// Builds and solves fault `index` of `setup`, and for a detected
+    /// fault with dropping on, simulates its test against every fault.
+    pub(crate) fn solve(
+        &mut self,
+        nl: &Netlist,
+        config: &AtpgConfig,
+        setup: &CampaignSetup,
+        index: usize,
+    ) -> Solved {
+        let f = setup.faults[index];
+        let mut probe = CountingProbe::default();
+        let counting = self.counted.then_some(&mut probe);
+        let cert = self.sink.as_mut().map(|s| (index, s));
+        let record = match self.warm.as_mut() {
+            Some(warm) => warm.solve_fault_with(f, config, counting, cert),
+            None => campaign::solve_instance(nl, f, config, counting, cert),
+        };
+        let proof_bytes = self
+            .sink
+            .as_mut()
+            .map_or(0, StreamSink::take_instance_bytes);
+        let hits = match &record.outcome {
+            FaultOutcome::Detected(vector) if config.fault_dropping => {
+                let hits = setup.fs.detect_batch_with(
+                    nl,
+                    std::slice::from_ref(vector),
+                    &setup.faults,
+                    &mut self.bufs,
+                );
+                let mut words = vec![0u64; hits.len().div_ceil(64)];
+                for (j, &hit) in hits.iter().enumerate() {
+                    if hit {
+                        words[j / 64] |= 1 << (j % 64);
+                    }
+                }
+                Some(words)
+            }
+            _ => None,
+        };
+        Solved {
+            index,
+            record,
+            hits,
+            counters: probe.counters,
+            proof_bytes,
+        }
+    }
+
+    /// Tightens the warm solver's budget (the config copy is the
+    /// caller's).
+    fn set_limits(&mut self, limits: atpg_easy_sat::Limits) {
+        if let Some(warm) = self.warm.as_mut() {
+            warm.set_limits(limits);
+        }
+    }
+
+    /// The proof stream, present iff built certified.
+    pub(crate) fn into_sink(self) -> Option<StreamSink> {
+        self.sink
+    }
+}
+
+/// The committed campaign: detected bits, the result (records and tests)
+/// and the traces of committed solves.
+pub(crate) struct CommitState {
+    detected: Vec<bool>,
+    pub(crate) result: CampaignResult,
+    traces: Vec<InstanceTrace>,
+}
+
+impl CommitState {
+    /// Whether fault `i` still needs a solve: neither statically pruned
+    /// nor detected by a committed test.
+    pub(crate) fn needs_solve(&self, setup: &CampaignSetup, i: usize) -> bool {
+        !setup.pruned[i] && !self.detected[i]
+    }
+
+    /// The record of fault `i` if it needs no solve.
+    pub(crate) fn retired(&self, setup: &CampaignSetup, i: usize) -> Option<FaultRecord> {
+        let outcome = if setup.pruned[i] {
+            FaultOutcome::StaticallyRedundant
+        } else if self.detected[i] {
+            FaultOutcome::DetectedBySimulation
+        } else {
+            return None;
+        };
+        Some(FaultRecord::unsolved(setup.faults[i], outcome))
+    }
+
+    /// Applies a solved verdict: a detected fault and every fault its
+    /// test drops are marked detected (`publish` sees each newly marked
+    /// index) and the test is appended. Returns the record to emit.
+    pub(crate) fn commit(&mut self, solved: Solved, mut publish: impl FnMut(usize)) -> FaultRecord {
+        if let FaultOutcome::Detected(vector) = &solved.record.outcome {
+            let faults = self.detected.len();
+            let mut mark = |j: usize| {
+                if !self.detected[j] {
+                    self.detected[j] = true;
+                    publish(j);
+                }
+            };
+            mark(solved.index);
+            if let Some(hits) = &solved.hits {
+                for j in 0..faults {
+                    if hits[j / 64] >> (j % 64) & 1 != 0 {
+                        mark(j);
+                    }
+                }
+            }
+            self.result.tests.push(vector.clone());
+        }
+        solved.record
+    }
+}
+
 /// A campaign paused between faults.
 ///
-/// Owns everything the loop needs — netlist, fault list, simulator,
-/// optional warm incremental solver, optional proof sink — so the handle
-/// is `'static`: it can be queued, moved across worker threads and
-/// resumed later.
+/// Owns everything the loop needs — netlist, setup, solver context and
+/// commit state — so the handle is `'static`: it can be queued, moved
+/// across worker threads and resumed later.
 pub struct CampaignDriver {
     nl: Netlist,
     config: AtpgConfig,
-    faults: Vec<Fault>,
-    detected: Vec<bool>,
-    pruned: Vec<bool>,
-    fs: FaultSimulator,
-    inc: Option<IncrementalAtpg>,
-    sink: Option<StreamSink>,
+    setup: CampaignSetup,
+    solver: SolverContext,
+    commit: CommitState,
     tracing: bool,
-    bufs: SimBuffers,
     next: usize,
-    result: CampaignResult,
-    traces: Vec<InstanceTrace>,
     last_proof_bytes: u64,
 }
 
@@ -86,50 +373,16 @@ impl CampaignDriver {
         tracing: bool,
         certified: bool,
     ) -> Result<Self, DriverError> {
-        if config.preflight {
-            let report = atpg_easy_lint::preflight(&nl);
-            if report.has_errors() {
-                return Err(DriverError::Preflight(format!(
-                    "netlist `{}` failed ATPG preflight:\n{}",
-                    nl.name(),
-                    report.render_human()
-                )));
-            }
-        }
-        let faults = campaign::target_faults(&nl, config);
-        let pruned = if config.static_prune {
-            campaign::static_prune_mask(&nl, &faults)
-        } else {
-            vec![false; faults.len()]
-        };
-        let fs = FaultSimulator::with_cones(&nl);
-        let mut detected = vec![false; faults.len()];
-        let tests = campaign::random_phase(&nl, config, &fs, &faults, &mut detected);
-        let result = CampaignResult {
-            records: Vec::with_capacity(faults.len()),
-            tests,
-        };
-        let mut sink = certified.then(StreamSink::new);
-        let inc = config
-            .incremental
-            .then(|| IncrementalAtpg::new(&nl, config));
-        if let (Some(s), Some(warm)) = (sink.as_mut(), inc.as_ref()) {
-            warm.record_base_axioms(s);
-        }
+        let (setup, commit) = CampaignSetup::new(&nl, config)?;
+        let solver = SolverContext::new(&nl, config, tracing, certified);
         Ok(CampaignDriver {
             nl,
             config: *config,
-            faults,
-            detected,
-            pruned,
-            fs,
-            inc,
-            sink,
+            setup,
+            solver,
+            commit,
             tracing,
-            bufs: SimBuffers::default(),
             next: 0,
-            result,
-            traces: Vec::new(),
             last_proof_bytes: 0,
         })
     }
@@ -146,7 +399,7 @@ impl CampaignDriver {
 
     /// Total faults targeted (collapsed list length).
     pub fn total_faults(&self) -> usize {
-        self.faults.len()
+        self.setup.faults.len()
     }
 
     /// Index of the next fault to step; equals the number of records
@@ -157,7 +410,7 @@ impl CampaignDriver {
 
     /// Faults not yet stepped (or abandoned).
     pub fn pending(&self) -> &[Fault] {
-        &self.faults[self.next..]
+        &self.setup.faults[self.next..]
     }
 
     /// Faults currently marked detected by simulation or dropping. Read
@@ -165,28 +418,28 @@ impl CampaignDriver {
     /// random-phase retirement count the serving layer reports in its
     /// `start` line.
     pub fn sim_detected(&self) -> usize {
-        self.detected.iter().filter(|&&d| d).count()
+        self.commit.detected.iter().filter(|&&d| d).count()
     }
 
     /// Faults the static implication pre-pass proved redundant (0 unless
     /// `config.static_prune`); these are retired without a SAT instance.
     pub fn static_pruned(&self) -> usize {
-        self.pruned.iter().filter(|&&p| p).count()
+        self.setup.pruned.iter().filter(|&&p| p).count()
     }
 
     /// Whether every fault has been stepped or abandoned.
     pub fn is_done(&self) -> bool {
-        self.next >= self.faults.len()
+        self.next >= self.setup.faults.len()
     }
 
     /// The result accumulated so far.
     pub fn result(&self) -> &CampaignResult {
-        &self.result
+        &self.commit.result
     }
 
     /// Instance traces accumulated so far (empty unless built tracing).
     pub fn traces(&self) -> &[InstanceTrace] {
-        &self.traces
+        &self.commit.traces
     }
 
     /// Proof bytes logged by the most recent [`CampaignDriver::step`]
@@ -202,9 +455,7 @@ impl CampaignDriver {
     /// shrinking deadline remainder are safe.
     pub fn clamp_wall(&mut self, budget: Duration) {
         self.config.limits = self.config.limits.clamp_wall(budget);
-        if let Some(warm) = self.inc.as_mut() {
-            warm.set_limits(self.config.limits);
-        }
+        self.solver.set_limits(self.config.limits);
     }
 
     /// Gives up on every pending fault: no more records are emitted and
@@ -212,93 +463,51 @@ impl CampaignDriver {
     /// already produced stay valid — the serving layer flushes `deadline`
     /// verdicts for [`CampaignDriver::pending`] before calling this.
     pub fn abandon(&mut self) {
-        self.next = self.faults.len();
+        self.next = self.setup.faults.len();
     }
 
-    /// Resolves the next fault: sim-retired faults get their
-    /// [`FaultOutcome::DetectedBySimulation`] record; everything else is
-    /// solved exactly as [`campaign::run`] would (same solver dispatch,
-    /// same drop-batch application, same trace/proof bookkeeping).
-    /// Returns the record just emitted, or `None` when the campaign is
-    /// complete.
+    /// Resolves the next fault: pruned and sim-retired faults get their
+    /// record without a solve; everything else is solved, and its verdict
+    /// committed, exactly as [`campaign::run`] does. Returns the record
+    /// just emitted, or `None` when the campaign is complete.
     pub fn step(&mut self) -> Option<&FaultRecord> {
         let i = self.next;
-        if i >= self.faults.len() {
+        if i >= self.setup.faults.len() {
             return None;
         }
         self.next = i + 1;
-        let f = self.faults[i];
-        if self.pruned[i] {
-            self.last_proof_bytes = 0;
-            self.result
-                .records
-                .push(campaign::static_redundant_record(f));
-            return self.result.records.last();
-        }
-        if self.detected[i] {
-            self.last_proof_bytes = 0;
-            self.result.records.push(campaign::simulated_record(f));
-            return self.result.records.last();
-        }
-        let index = self.result.records.len();
-        let tracing = self.tracing;
-        let (record, counters) = match (self.inc.as_mut(), self.sink.as_mut()) {
-            (Some(warm), Some(s)) => warm.solve_fault_certified(f, &self.config, index, s),
-            (Some(warm), None) if tracing => warm.solve_fault_counted(f, &self.config),
-            (Some(warm), None) => (warm.solve_fault(f, &self.config, None), Counters::default()),
-            (None, Some(s)) => campaign::solve_one_certified(&self.nl, f, &self.config, index, s),
-            (None, None) if tracing => campaign::solve_one_counted(&self.nl, f, &self.config),
-            (None, None) => (
-                campaign::solve_one(&self.nl, f, &self.config),
-                Counters::default(),
-            ),
-        };
-        let proof_bytes = self
-            .sink
-            .as_mut()
-            .map_or(0, StreamSink::take_instance_bytes);
-        self.last_proof_bytes = proof_bytes;
-        if tracing {
-            self.traces.push(campaign::fault_trace(
-                &self.nl,
-                index as u64,
-                &record,
-                counters,
-                0,
-                proof_bytes,
-            ));
-        }
-        if let FaultOutcome::Detected(vector) = &record.outcome {
-            self.detected[i] = true;
-            if self.config.fault_dropping {
-                let hits = self.fs.detect_batch_with(
-                    &self.nl,
-                    std::slice::from_ref(vector),
-                    &self.faults,
-                    &mut self.bufs,
-                );
-                for (j, hit) in hits.into_iter().enumerate() {
-                    if hit {
-                        self.detected[j] = true;
-                    }
-                }
+        let record = match self.commit.retired(&self.setup, i) {
+            Some(record) => {
+                self.last_proof_bytes = 0;
+                record
             }
-            self.result.tests.push(vector.clone());
-        }
-        self.result.records.push(record);
-        self.result.records.last()
+            None => {
+                let solved = self.solver.solve(&self.nl, &self.config, &self.setup, i);
+                self.last_proof_bytes = solved.proof_bytes;
+                if self.tracing {
+                    self.commit.traces.push(solved.trace(&self.nl, 0));
+                }
+                self.commit.commit(solved, |_| {})
+            }
+        };
+        self.commit.result.records.push(record);
+        self.commit.result.records.last()
     }
 
     /// Consumes the driver, returning the accumulated result.
     pub fn into_result(self) -> CampaignResult {
-        self.result
+        self.commit.result
     }
 
     /// Consumes the driver, returning the result, the traces (empty
     /// unless built tracing) and the proof sink (present iff built
     /// certified).
     pub fn into_parts(self) -> (CampaignResult, Vec<InstanceTrace>, Option<StreamSink>) {
-        (self.result, self.traces, self.sink)
+        (
+            self.commit.result,
+            self.commit.traces,
+            self.solver.into_sink(),
+        )
     }
 }
 
@@ -306,10 +515,10 @@ impl std::fmt::Debug for CampaignDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CampaignDriver")
             .field("circuit", &self.nl.name())
-            .field("faults", &self.faults.len())
+            .field("faults", &self.setup.faults.len())
             .field("position", &self.next)
             .field("tracing", &self.tracing)
-            .field("certified", &self.sink.is_some())
+            .field("certified", &self.solver.sink.is_some())
             .finish()
     }
 }

@@ -3,7 +3,8 @@
 //! each fault's logic added as activation-guarded clauses.
 //!
 //! This is the MiniSat-style incremental interface applied to the TEGUS
-//! loop. The from-scratch path ([`campaign::solve_one`]) builds a miter
+//! loop. The from-scratch path
+//! ([`campaign::solve_one`](crate::campaign::solve_one)) builds a miter
 //! netlist and a fresh CNF per fault; this path instead keeps one
 //! [`IncrementalCdcl`] alive across the whole fault list:
 //!
@@ -141,8 +142,9 @@ impl IncrementalAtpg {
     /// `SolveBegin(index)`/`SolveEnd` bracket with the activation literal
     /// as its assumption, and the solver streams its derivations into the
     /// sink — including the failing-subset clause that certifies an
-    /// assumption-level UNSAT.
-    fn solve_fault_with(
+    /// assumption-level UNSAT. The sink must have recorded the base
+    /// encoding first ([`IncrementalAtpg::record_base_axioms`]).
+    pub(crate) fn solve_fault_with(
         &mut self,
         f: Fault,
         config: &AtpgConfig,
@@ -306,37 +308,6 @@ impl IncrementalAtpg {
             solve_time,
             stats: sol.stats,
         }
-    }
-
-    /// [`IncrementalAtpg::solve_fault`] observed through a fresh
-    /// [`CountingProbe`]; returns the probe-derived per-instance event
-    /// totals alongside the record, mirroring
-    /// [`campaign::solve_one_counted`](crate::campaign).
-    pub fn solve_fault_counted(
-        &mut self,
-        f: Fault,
-        config: &AtpgConfig,
-    ) -> (FaultRecord, atpg_easy_obs::Counters) {
-        let mut probe = CountingProbe::default();
-        let record = self.solve_fault(f, config, Some(&mut probe));
-        (record, probe.counters)
-    }
-
-    /// [`IncrementalAtpg::solve_fault_counted`] with certification: the
-    /// fault's guarded clauses, solve bracket and solver derivations are
-    /// appended to `sink`'s proof stream under instance number `index`.
-    /// [`IncrementalAtpg::record_base_axioms`] must have been called on
-    /// the same sink first.
-    pub fn solve_fault_certified(
-        &mut self,
-        f: Fault,
-        config: &AtpgConfig,
-        index: usize,
-        sink: &mut StreamSink,
-    ) -> (FaultRecord, atpg_easy_obs::Counters) {
-        let mut probe = CountingProbe::default();
-        let record = self.solve_fault_with(f, config, Some(&mut probe), Some((index, sink)));
-        (record, probe.counters)
     }
 }
 

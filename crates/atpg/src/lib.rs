@@ -9,22 +9,31 @@
 //! - [`miter::build`]: the `C_ψ^ATPG` construction of the paper's Figure 3 —
 //!   the good subcircuit `C_ψ^sub`, the faulty fan-out cone `C_ψ^fo`, and a
 //!   pairwise XOR of the affected outputs;
-//! - [`faultsim`]: 64-pattern-parallel fault simulation, used for fault
-//!   dropping and for verifying generated tests;
+//! - [`faultsim`]: pattern-parallel fault simulation — 64 patterns per
+//!   word, 256 per pass in a campaign's random phase
+//!   ([`WIDE_PATTERNS`]) — used for fault dropping and for verifying
+//!   generated tests;
 //! - [`podem`]: the PODEM structural baseline (decisions at primary
 //!   inputs only, objective/backtrace), cross-checked against the SAT
 //!   engines;
 //! - [`campaign`]: the TEGUS-style loop — one ATPG-SAT instance per fault,
 //!   any [`Solver`](atpg_easy_sat::Solver), optional fault dropping —
 //!   which is exactly the experiment behind the paper's Figure 1;
+//! - [`driver`]: the one campaign state machine, in three parts — a
+//!   read-only setup (preflight, collapse, static prune, cone simulator,
+//!   random phase), a solver context that is the only place a fault gets
+//!   solved, and a commit state that applies drop hits and emits records
+//!   — which [`campaign::run`], the `serve` daemon and [`parallel`] all
+//!   run on;
 //! - [`incremental`]: the same loop against one persistent
 //!   assumption-based CDCL solver — fault-free circuit encoded once,
 //!   per-fault logic on activation literals, learnt clauses retained
 //!   across faults (enable with [`AtpgConfig::incremental`]);
-//! - [`parallel`]: the fault-parallel campaign engine — a sharded work
-//!   queue of collapsed faults served by worker threads, with fault
-//!   dropping coordinated through a drop-bitmap and committed in fault
-//!   order so the output is byte-identical at any thread count;
+//! - [`parallel`]: the fault-parallel campaign engine — the driver's
+//!   setup shared by worker threads that each own a solver context and
+//!   pop from a sharded work queue, with fault dropping coordinated
+//!   through a drop-bitmap and committed in fault order so the output is
+//!   byte-identical at any thread count;
 //! - [`certify`]: DRAT proof logging for every verdict — campaigns
 //!   record axioms and solve brackets while the solvers stream their
 //!   derivations, producing proof streams the independent

@@ -1,13 +1,23 @@
 //! Fault-parallel campaign engine.
 //!
-//! [`AtpgCampaign`] runs the same TEGUS-style campaign as
-//! [`campaign::run`], but solves the per-fault ATPG-SAT instances on a
-//! pool of worker threads. With from-scratch solving the output is
-//! **byte-identical** to the sequential engine for any thread count
-//! (compare [`CampaignResult::canonical_report`]); only wall-clock
-//! fields differ. With [`AtpgConfig::incremental`] each worker keeps its
-//! own warm solver, whose state depends on which faults it happened to
-//! pop — models and effort counters then vary with the schedule, and the
+//! [`AtpgCampaign`] runs the campaign of
+//! [`campaign::run`](crate::campaign::run) on the parts of the sequential
+//! [`CampaignDriver`](crate::CampaignDriver) (see [`crate::driver`]): one
+//! read-only setup (preflight, collapse, static prune, cone simulator and
+//! random phase), built once on the calling thread and shared by
+//! reference with every worker; one solver context per worker, the only
+//! place a fault gets solved; and one commit state, written by the
+//! committing thread alone. What this module adds is the
+//! parallel machinery: the sharded queue, the drop bitmap, speculative
+//! workers and windowed in-order emission. It keeps that machinery at
+//! every thread count, 1 included.
+//!
+//! With from-scratch solving the output is **byte-identical** to the
+//! sequential engine for any thread count (compare
+//! [`CampaignResult::canonical_report`]); only wall-clock fields differ.
+//! With [`AtpgConfig::incremental`] each worker keeps its own warm
+//! solver, whose state depends on which faults it happened to pop —
+//! models and effort counters then vary with the schedule, and the
 //! cross-engine / cross-thread-count guarantee is on the semantic
 //! verdicts instead ([`CampaignResult::detection_report`]).
 //!
@@ -45,14 +55,15 @@
 //! Workers reading a *set* bit is always sound (bits are monotone and
 //! only reflect committed state); workers missing a set bit merely wastes
 //! work. Deadlock-freedom: if the commit frontier waits on fault `f`,
-//! then `f`'s drop bit is unset (bits are set only for committed-detected
-//! faults), so whichever worker pops `f` sees the bit unset — or sees it
-//! set only after the frontier has already passed `f` — and delivers a
-//! solved record.
+//! then `f`'s drop bit is unset (bits are set only for statically pruned
+//! faults, which the frontier emits without waiting, and for
+//! committed-detected ones), so whichever worker pops `f` sees the bit
+//! unset — or sees it set only after the frontier has already passed `f`
+//! — and delivers a solved record.
 //!
-//! The random-pattern phase runs single-threaded before the fan-out,
-//! identically to the sequential engine, so workers need no RNG streams —
-//! phase 2 is entirely deterministic given the committed test order.
+//! The random-pattern phase runs single-threaded in the setup, before the
+//! fan-out, so workers need no RNG streams — the solve phase is entirely
+//! deterministic given the committed test order.
 
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -62,13 +73,11 @@ use atpg_easy_syncx::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use atpg_easy_netlist::Netlist;
 use atpg_easy_obs::{CampaignMeta, Collector, Counters, InstanceTrace, LocalBuf};
-
 use atpg_easy_proof::Event;
 
-use crate::campaign::{self, AtpgConfig, CampaignResult, FaultOutcome, FaultRecord};
+use crate::campaign::{AtpgConfig, CampaignResult, FaultOutcome, FaultRecord};
 use crate::certify::StreamSink;
-use crate::faultsim::{FaultSimulator, SimBuffers};
-use crate::Fault;
+use crate::driver::{CampaignSetup, CommitState, Solved, SolverContext};
 
 /// Upper bound on the indices a single queue pop may claim. Bounds how
 /// long a worker sits on low indices the commit frontier wants, and how
@@ -163,72 +172,44 @@ impl AtpgCampaign {
     ///
     /// # Panics
     ///
-    /// Same conditions as [`campaign::run`].
+    /// Same conditions as [`campaign::run`](crate::campaign::run): a
+    /// netlist that fails the preflight panics with the driver's
+    /// [`DriverError::Preflight`](crate::DriverError::Preflight) report.
     pub fn run(&self, nl: &Netlist) -> ParallelRun {
         let started = Instant::now();
-        campaign::check_preflight(nl, &self.config);
-        let faults = campaign::target_faults(nl, &self.config);
-        // Static pre-pass: the same mask the sequential driver computes,
-        // so both engines prune (and record) the identical fault set.
-        let pruned = if self.config.static_prune {
-            campaign::static_prune_mask(nl, &faults)
-        } else {
-            vec![false; faults.len()]
-        };
-        let fs = FaultSimulator::with_cones(nl);
-        let mut detected = vec![false; faults.len()];
-
-        // Phase 1: identical to the sequential engine, single-threaded.
-        let tests = campaign::random_phase(nl, &self.config, &fs, &faults, &mut detected);
-        let mut result = CampaignResult {
-            records: Vec::with_capacity(faults.len()),
-            tests,
-        };
-
-        let queue = ShardedQueue::new(faults.len(), self.threads);
-        let drop_bits = DropBitmap::new(faults.len());
-        for (i, &d) in detected.iter().enumerate() {
-            if d || pruned[i] {
+        let (setup, mut commit) =
+            CampaignSetup::new(nl, &self.config).unwrap_or_else(|e| panic!("{e}"));
+        let faults = setup.faults.len();
+        let queue = ShardedQueue::new(faults, self.threads);
+        let drop_bits = DropBitmap::new(faults);
+        for i in 0..faults {
+            if !commit.needs_solve(&setup, i) {
                 drop_bits.set(i);
             }
         }
 
         let trace_sink = self.tracing.then(Collector::<InstanceTrace>::new);
-        let (workers, streams, committed) = std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<Solved>();
-            let mut handles = Vec::with_capacity(self.threads);
-            for worker_id in 0..self.threads {
-                let tx = tx.clone();
-                let queue = &queue;
-                let drop_bits = &drop_bits;
-                let faults = &faults;
-                let fs = fs.clone();
-                let config = self.config;
-                let trace_sink = trace_sink.as_ref();
-                let certified = self.certified;
-                handles.push(scope.spawn(move || {
-                    run_worker(
-                        worker_id, nl, faults, &config, &fs, queue, drop_bits, trace_sink,
-                        certified, tx,
-                    )
-                }));
-            }
-            drop(tx);
-            let committed = commit_loop(
-                rx,
-                &faults,
-                &pruned,
-                &mut detected,
-                &drop_bits,
-                self.window,
-                &mut result,
-            );
-            let (workers, streams): (Vec<WorkerReport>, Vec<Vec<Event>>) = handles
-                .into_iter()
-                .map(|h| h.join().expect("worker threads do not panic"))
-                .unzip();
-            (workers, streams, committed)
-        });
+        let (workers, streams): (Vec<WorkerReport>, Vec<Vec<Event>>) =
+            std::thread::scope(|scope| {
+                let (tx, rx) = mpsc::channel::<Solved>();
+                let handles: Vec<_> = (0..self.threads)
+                    .map(|id| {
+                        let tx = tx.clone();
+                        let (setup, queue, drop_bits) = (&setup, &queue, &drop_bits);
+                        let trace_sink = trace_sink.as_ref();
+                        scope.spawn(move || {
+                            run_worker(id, nl, self, setup, queue, drop_bits, trace_sink, tx)
+                        })
+                    })
+                    .collect();
+                drop(tx);
+                commit_loop(rx, &setup, &mut commit, &drop_bits, self.window);
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker threads do not panic"))
+                    .unzip()
+            });
+        let result = commit.result;
 
         // Keep only traces whose solve was actually committed (a wasted
         // speculative solve commits as a simulated record with no SAT
@@ -237,20 +218,28 @@ impl AtpgCampaign {
         traces.retain(|t| result.records[t.seq as usize].sat_vars > 0);
         traces.sort_unstable_by_key(|t| t.seq);
 
-        // A solve is wasted only when it was never committed at all —
-        // committed UNSAT/abort verdicts are useful work, not waste.
+        // Every fault emits exactly one record, so the record outcomes
+        // are the commit tallies. A solve is wasted only when it was never
+        // committed at all — committed UNSAT/abort verdicts are useful
+        // work, not waste.
+        let count = |kind: fn(&FaultOutcome) -> bool| {
+            result.records.iter().filter(|r| kind(&r.outcome)).count()
+        };
+        let committed_sat = count(|o| matches!(o, FaultOutcome::Detected(_)));
+        let committed_unsat =
+            count(|o| matches!(o, FaultOutcome::Untestable | FaultOutcome::Aborted));
         let solved: usize = workers.iter().map(|w| w.solved).sum();
         let report = ParallelReport {
             threads: self.threads,
             commit_window: self.window,
             wall: started.elapsed(),
-            queue_depth: faults.len(),
+            queue_depth: faults,
             workers,
-            committed_sat: committed.sat,
-            committed_unsat: committed.unsat,
-            dropped: committed.dropped,
-            static_pruned: committed.pruned,
-            wasted_solves: solved - (committed.sat + committed.unsat),
+            committed_sat,
+            committed_unsat,
+            dropped: count(|o| *o == FaultOutcome::DetectedBySimulation),
+            static_pruned: count(|o| *o == FaultOutcome::StaticallyRedundant),
+            wasted_solves: solved - (committed_sat + committed_unsat),
         };
         ParallelRun {
             result,
@@ -265,7 +254,8 @@ impl AtpgCampaign {
 /// plus the (machine-dependent) execution report.
 #[derive(Debug, Clone)]
 pub struct ParallelRun {
-    /// Identical to what [`campaign::run`] produces, modulo `solve_time`.
+    /// Identical to what [`campaign::run`](crate::campaign::run) produces,
+    /// modulo `solve_time`.
     pub result: CampaignResult,
     /// How the run was executed: per-worker counters, wall time.
     pub report: ParallelReport,
@@ -507,26 +497,19 @@ impl DropBitmap {
     }
 }
 
-/// A speculatively solved instance on its way to the committer. `hits` is
-/// present for detected faults when dropping is on: one bit per campaign
-/// fault, set iff the test vector detects it.
-struct Solved {
-    index: usize,
-    record: FaultRecord,
-    hits: Option<Vec<u64>>,
-}
-
+/// One worker: pops chunks of fault indices and solves every index whose
+/// drop bit is still clear through its own [`SolverContext`] — its own
+/// warm solver and proof stream — shipping each [`Solved`] instance
+/// (record plus drop hits) to the committer.
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     id: usize,
     nl: &Netlist,
-    faults: &[Fault],
-    config: &AtpgConfig,
-    fs: &FaultSimulator,
+    campaign: &AtpgCampaign,
+    setup: &CampaignSetup,
     queue: &ShardedQueue,
     drop_bits: &DropBitmap,
     trace_sink: Option<&Collector<InstanceTrace>>,
-    certified: bool,
     tx: mpsc::Sender<Solved>,
 ) -> (WorkerReport, Vec<Event>) {
     let mut report = WorkerReport {
@@ -534,21 +517,8 @@ fn run_worker(
         ..WorkerReport::default()
     };
     let mut traces = trace_sink.map(LocalBuf::new);
-    // Certification: one proof stream per worker, independently
-    // auditable — axioms and derivations interleave in this worker's
-    // solve order.
-    let mut sink = certified.then(StreamSink::new);
-    // Incremental mode: one persistent warm solver per worker thread,
-    // seeded with the fault-free encoding before the first pop.
-    let mut warm = config
-        .incremental
-        .then(|| crate::incremental::IncrementalAtpg::new(nl, config));
-    if let (Some(s), Some(inc)) = (sink.as_mut(), warm.as_ref()) {
-        inc.record_base_axioms(s);
-    }
-    // Scratch simulation buffers, reused across every drop-hit
-    // computation this worker performs.
-    let mut bufs = SimBuffers::default();
+    // Always counted: `WorkerReport::counters` reports the totals.
+    let mut solver = SolverContext::new(nl, &campaign.config, true, campaign.certified);
     while let Some((range, stolen)) = queue.pop_chunk(id, CHUNK_CAP) {
         report.chunks += 1;
         report.popped += range.len();
@@ -565,97 +535,30 @@ fn run_worker(
                 report.skipped += 1;
                 continue;
             }
-            let (record, counters) = match (warm.as_mut(), sink.as_mut()) {
-                (Some(inc), Some(s)) => inc.solve_fault_certified(faults[index], config, index, s),
-                (Some(inc), None) => inc.solve_fault_counted(faults[index], config),
-                (None, Some(s)) => {
-                    campaign::solve_one_certified(nl, faults[index], config, index, s)
-                }
-                (None, None) => campaign::solve_one_counted(nl, faults[index], config),
-            };
-            let proof_bytes = sink.as_mut().map_or(0, StreamSink::take_instance_bytes);
+            let solved = solver.solve(nl, &campaign.config, setup, index);
             report.solved += 1;
-            report.solve_time += record.solve_time;
-            report.counters.add(&counters);
+            report.solve_time += solved.record.solve_time;
+            report.counters.add(&solved.counters);
             if let Some(buf) = traces.as_mut() {
-                // Phase 2 commits exactly one record per fault, in fault
-                // order, so the eventual record index equals the fault index.
-                buf.push(campaign::fault_trace(
-                    nl,
-                    index as u64,
-                    &record,
-                    counters,
-                    id as u64,
-                    proof_bytes,
-                ));
+                buf.push(solved.trace(nl, id as u64));
             }
-            let hits = match &record.outcome {
-                FaultOutcome::Detected(vector) if config.fault_dropping => Some(pack_hits(
-                    &fs.detect_batch_with(nl, std::slice::from_ref(vector), faults, &mut bufs),
-                )),
-                _ => None,
-            };
             // The committer may already have passed this fault and hung
             // up; a closed channel just means the solve was wasted.
-            let _ = tx.send(Solved {
-                index,
-                record,
-                hits,
-            });
+            let _ = tx.send(solved);
         }
     }
-    (report, sink.map_or_else(Vec::new, StreamSink::into_events))
+    let events = solver
+        .into_sink()
+        .map_or_else(Vec::new, StreamSink::into_events);
+    (report, events)
 }
 
-/// Commit-loop tallies: committed SAT verdicts, committed UNSAT/abort
-/// verdicts, faults retired without a committed solver call, and faults
-/// retired by the static pre-pass.
-struct Committed {
-    sat: usize,
-    unsat: usize,
-    dropped: usize,
-    pruned: usize,
-}
-
-/// Applies a solved instance to the committed state: marks the fault (and
-/// everything its test drops) detected, publishes the drop bits, appends
-/// the test vector, and tallies the verdict. Returns the record for the
-/// caller to emit (immediately at the frontier, or held for in-order
-/// emission when the commit was speculative).
-fn apply_commit(
-    solved: Solved,
-    detected: &mut [bool],
-    drop_bits: &DropBitmap,
-    result: &mut CampaignResult,
-    committed: &mut Committed,
-) -> FaultRecord {
-    if let FaultOutcome::Detected(vector) = &solved.record.outcome {
-        detected[solved.index] = true;
-        drop_bits.set(solved.index);
-        if let Some(hits) = &solved.hits {
-            for (j, d) in detected.iter_mut().enumerate() {
-                if hits[j / 64] >> (j % 64) & 1 != 0 && !*d {
-                    *d = true;
-                    drop_bits.set(j);
-                }
-            }
-        }
-        result.tests.push(vector.clone());
-        committed.sat += 1;
-    } else {
-        // Untestable or aborted: the solver call is committed — and was
-        // necessary — even though no test came out of it.
-        committed.unsat += 1;
-    }
-    solved.record
-}
-
-/// Consumes worker messages and commits faults, appending records and
-/// tests to `result`. This is the only writer of `detected` and
-/// `drop_bits` during phase 2.
+/// Consumes worker messages and commits faults through `commit`. This is
+/// the only writer of the commit state and of `drop_bits` during the
+/// solve phase.
 ///
 /// Committing a fault means applying its verdict to the shared drop
-/// state; emitting it means appending its record to `result.records`.
+/// state; emitting it means appending its record to the result.
 /// Emission is *always* strict index order — that is the reconciliation
 /// that keeps per-fault verdicts schedule-independent. With `window == 1`
 /// commit and emission coincide (the legacy strict in-order mode, byte-
@@ -667,19 +570,13 @@ fn apply_commit(
 /// index order.
 fn commit_loop(
     rx: mpsc::Receiver<Solved>,
-    faults: &[Fault],
-    pruned: &[bool],
-    detected: &mut [bool],
+    setup: &CampaignSetup,
+    commit: &mut CommitState,
     drop_bits: &DropBitmap,
     window: usize,
-    result: &mut CampaignResult,
-) -> Committed {
-    let mut committed = Committed {
-        sat: 0,
-        unsat: 0,
-        dropped: 0,
-        pruned: 0,
-    };
+) {
+    let faults = setup.faults.len();
+    let publish = |j| drop_bits.set(j);
     // Arrived solves not yet committed, keyed by fault index.
     let mut pending: HashMap<usize, Solved> = HashMap::new();
     // Records committed ahead of the frontier (window > 1): their effects
@@ -693,34 +590,23 @@ fn commit_loop(
         // on, so the two passes feed each other.
         loop {
             let before = (frontier, held.len(), pending.len());
-            // Emit in strict index order as far as the state allows.
-            while frontier < faults.len() {
-                if pruned[frontier] {
-                    // Statically pruned: never queued to workers (its
-                    // drop bit was pre-set), emitted straight from the
-                    // pre-pass verdict — mirrors the sequential driver.
-                    result
-                        .records
-                        .push(campaign::static_redundant_record(faults[frontier]));
-                    committed.pruned += 1;
-                    frontier += 1;
-                } else if let Some(record) = held.remove(&frontier) {
-                    result.records.push(record);
-                    frontier += 1;
-                } else if detected[frontier] {
-                    pending.remove(&frontier); // speculative solve, superseded
-                    result
-                        .records
-                        .push(campaign::simulated_record(faults[frontier]));
-                    committed.dropped += 1;
-                    frontier += 1;
+            // Emit in strict index order as far as the state allows. A
+            // held record comes first: its own commit marked it detected.
+            while frontier < faults {
+                let record = if let Some(record) = held.remove(&frontier) {
+                    record
+                } else if let Some(record) = commit.retired(setup, frontier) {
+                    // Pruned (never queued: its drop bit was pre-set) or
+                    // dropped; a speculative solve for it is superseded.
+                    pending.remove(&frontier);
+                    record
                 } else if let Some(solved) = pending.remove(&frontier) {
-                    let record = apply_commit(solved, detected, drop_bits, result, &mut committed);
-                    result.records.push(record);
-                    frontier += 1;
+                    commit.commit(solved, publish)
                 } else {
                     break;
-                }
+                };
+                commit.result.records.push(record);
+                frontier += 1;
             }
             // Speculative commits inside the window, ascending so the
             // committed state is a deterministic function of the arrival
@@ -733,21 +619,20 @@ fn commit_loop(
                     .collect();
                 eligible.sort_unstable();
                 for i in eligible {
-                    if detected[i] {
+                    if !commit.needs_solve(setup, i) {
                         // Superseded by a commit earlier in this pass; the
                         // frontier will emit a simulated record for it.
                         continue;
                     }
                     let solved = pending.remove(&i).expect("eligible keys are pending");
-                    let record = apply_commit(solved, detected, drop_bits, result, &mut committed);
-                    held.insert(i, record);
+                    held.insert(i, commit.commit(solved, publish));
                 }
             }
             if (frontier, held.len(), pending.len()) == before {
                 break;
             }
         }
-        if frontier >= faults.len() {
+        if frontier >= faults {
             break;
         }
         let solved = rx.recv().expect("a worker owns every uncommitted fault");
@@ -755,23 +640,12 @@ fn commit_loop(
             pending.insert(solved.index, solved);
         }
     }
-    committed
-}
-
-/// Packs a per-fault hit list into bitmap words.
-fn pack_hits(hits: &[bool]) -> Vec<u64> {
-    let mut words = vec![0u64; hits.len().div_ceil(64)];
-    for (j, &h) in hits.iter().enumerate() {
-        if h {
-            words[j / 64] |= 1 << (j % 64);
-        }
-    }
-    words
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign;
     use atpg_easy_netlist::parser::bench;
 
     fn c17() -> Netlist {
@@ -1053,9 +927,10 @@ mod tests {
     #[test]
     fn certified_parallel_streams_audit_clean_per_worker() {
         let nl = c17();
-        for incremental in [false, true] {
+        for (incremental, static_prune) in [(false, false), (true, false), (true, true)] {
             let config = AtpgConfig {
                 incremental,
+                static_prune,
                 ..AtpgConfig::default()
             };
             let run = AtpgCampaign::new(config)

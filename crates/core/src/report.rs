@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use atpg_easy_atpg::parallel::ParallelReport;
-use atpg_easy_obs::InstanceTrace;
+use atpg_easy_obs::{json_escape, InstanceTrace};
 
 use crate::experiment::{fig1_summary, Fig1Point, Fig8Point};
 use crate::predictor;
@@ -315,12 +315,9 @@ impl ScalingReport {
     /// speedups measure scheduler contention, not scaling. No serde in
     /// this workspace — the schema is flat enough to hand-roll.
     pub fn to_json(&self) -> String {
-        fn escape(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let base = self.runs.first().map(|r| r.wall.as_secs_f64());
         let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"suite\": \"{}\",", escape(&self.suite));
+        let _ = writeln!(s, "  \"suite\": \"{}\",", json_escape(&self.suite));
         let _ = writeln!(s, "  \"host_cpus\": {},", self.host_cpus);
         let _ = writeln!(s, "  \"commit_window\": {},", self.commit_window);
         let _ = writeln!(s, "  \"incremental\": {},", self.incremental);
@@ -409,9 +406,6 @@ impl ServeBenchReport {
     /// Renders as JSON (`results/serve.json` schema). No serde in this
     /// workspace — the schema is flat enough to hand-roll.
     pub fn to_json(&self) -> String {
-        fn escape(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         fn side(s: &mut String, name: &str, b: &ServeBenchSide, comma: bool) {
             let _ = writeln!(
                 s,
@@ -424,7 +418,7 @@ impl ServeBenchReport {
             );
         }
         let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"suite\": \"{}\",", escape(&self.suite));
+        let _ = writeln!(s, "  \"suite\": \"{}\",", json_escape(&self.suite));
         let _ = writeln!(s, "  \"workers\": {},", self.workers);
         let _ = writeln!(s, "  \"clients\": {},", self.clients);
         let _ = writeln!(s, "  \"repeats\": {},", self.repeats);
@@ -534,6 +528,39 @@ mod parallel_report_tests {
         assert!(j.contains("\"ratio\": 2.000"), "{j}");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
+    }
+
+    #[test]
+    fn suite_names_are_escaped_as_json_strings() {
+        let scaling = scaling_json("a\u{1}b\"c\\", 1, &[]);
+        assert!(
+            scaling.contains(r#""suite": "a\u0001b\"c\\","#),
+            "{scaling}"
+        );
+        let serve = ServeBenchReport {
+            suite: "x\ny".into(),
+            workers: 1,
+            clients: 1,
+            repeats: 1,
+            passes: 1,
+            host_cpus: 1,
+            library: ServeBenchSide {
+                wall: Duration::from_secs(1),
+                faults: 1,
+            },
+            served: ServeBenchSide {
+                wall: Duration::from_secs(1),
+                faults: 1,
+            },
+        }
+        .to_json();
+        assert!(serve.contains(r#""suite": "x\ny","#), "{serve}");
+        for j in [&scaling, &serve] {
+            assert!(
+                !j.chars().any(|c| c < ' ' && c != '\n'),
+                "raw control character in {j:?}"
+            );
+        }
     }
 
     #[test]

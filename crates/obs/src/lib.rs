@@ -42,4 +42,6 @@ pub use probe::{
     Counters, CountingProbe, Event, NoProbe, Probe, ProbeOutcome, RecordingProbe, Tee,
 };
 pub use sink::{CsvSink, JsonlSink, SharedSink, SummarySink, TraceSink, TraceSummary};
-pub use trace::{parse_jsonl, parse_jsonl_line, CampaignMeta, InstanceTrace, TraceLine};
+pub use trace::{
+    json_escape, parse_jsonl, parse_jsonl_line, CampaignMeta, InstanceTrace, TraceLine,
+};

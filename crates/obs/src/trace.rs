@@ -154,8 +154,9 @@ fn push_str(s: &mut String, key: &str, v: &str) {
     let _ = write!(s, ",\"{key}\":\"{}\"", json_escape(v));
 }
 
-/// Escapes a string for embedding in a JSON literal.
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal: quotes,
+/// backslashes and every control character.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

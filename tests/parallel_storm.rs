@@ -9,7 +9,7 @@
 //! engine — queue, speculative solves, drop bitmap, mpsc hand-off,
 //! committer — with genuinely concurrent workers.
 
-use atpg_easy_atpg::{AtpgCampaign, AtpgConfig};
+use atpg_easy_atpg::{campaign, AtpgCampaign, AtpgConfig};
 use atpg_easy_circuits::random::{generate, RandomCircuitConfig};
 
 #[test]
@@ -52,10 +52,12 @@ fn eight_thread_storm_matches_single_thread_byte_for_byte() {
 }
 
 /// The commit-window sweep: at every thread count × window width the
-/// per-fault detection report must be byte-identical to the 1-thread
-/// strict baseline, and window 1 must additionally preserve the full
-/// canonical bytes (the legacy contract). This is the reconciliation
-/// guarantee under real OS-thread contention.
+/// per-fault detection report must be byte-identical to the sequential
+/// campaign, and window 1 must additionally preserve the full canonical
+/// bytes of the from-scratch config (the legacy contract). The second
+/// config is the warm, statically pruned option set; it must also prune
+/// exactly the faults the sequential driver prunes. This is the
+/// reconciliation guarantee under real OS-thread contention.
 #[test]
 fn window_sweep_keeps_detection_identical_across_threads() {
     let nl = generate(&RandomCircuitConfig {
@@ -66,39 +68,61 @@ fn window_sweep_keeps_detection_identical_across_threads() {
         ..RandomCircuitConfig::default()
     })
     .expect("valid random circuit");
-    let config = AtpgConfig {
+    let plain = AtpgConfig {
         random_patterns: 32,
         seed: 21,
         ..AtpgConfig::default()
     };
-    let baseline = AtpgCampaign::new(config).with_threads(1).run(&nl);
-    let detection = baseline.result.detection_report();
-    let canonical = baseline.result.canonical_report();
-    for window in [1usize, 4, 16] {
-        for threads in [1usize, 2, 4, 8] {
-            let run = AtpgCampaign::new(config)
-                .with_threads(threads)
-                .with_commit_window(window)
-                .run(&nl);
-            assert_eq!(
-                run.result.detection_report(),
-                detection,
-                "threads={threads} window={window}: detection report diverged"
+    let warm_pruned = AtpgConfig {
+        incremental: true,
+        static_prune: true,
+        ..plain
+    };
+    for config in [plain, warm_pruned] {
+        let sequential = campaign::run(&nl, &config);
+        let detection = sequential.detection_report();
+        let canonical = sequential.canonical_report();
+        if config.static_prune {
+            assert!(
+                sequential.statically_pruned() > 0,
+                "the fixture must give the pre-pass work"
             );
-            if window == 1 {
+        }
+        for window in [1usize, 4, 16] {
+            for threads in [1usize, 2, 4, 8] {
+                let run = AtpgCampaign::new(config)
+                    .with_threads(threads)
+                    .with_commit_window(window)
+                    .run(&nl);
+                let what = format!(
+                    "incremental={} static_prune={} threads={threads} window={window}",
+                    config.incremental, config.static_prune
+                );
                 assert_eq!(
-                    run.result.canonical_report(),
-                    canonical,
-                    "threads={threads}: window 1 must stay byte-identical"
+                    run.result.detection_report(),
+                    detection,
+                    "{what}: detection report diverged"
+                );
+                assert_eq!(
+                    run.report.static_pruned,
+                    sequential.statically_pruned(),
+                    "{what}: static prune diverged"
+                );
+                if config == plain && window == 1 {
+                    assert_eq!(
+                        run.result.canonical_report(),
+                        canonical,
+                        "{what}: window 1 must stay byte-identical"
+                    );
+                }
+                let popped: usize = run.report.workers.iter().map(|w| w.popped).sum();
+                assert_eq!(popped, run.report.queue_depth, "every fault popped once");
+                let chunks: usize = run.report.workers.iter().map(|w| w.chunks).sum();
+                assert!(
+                    chunks <= popped,
+                    "chunked pops must batch indices, not duplicate them"
                 );
             }
-            let popped: usize = run.report.workers.iter().map(|w| w.popped).sum();
-            assert_eq!(popped, run.report.queue_depth, "every fault popped once");
-            let chunks: usize = run.report.workers.iter().map(|w| w.chunks).sum();
-            assert!(
-                chunks <= popped,
-                "chunked pops must batch indices, not duplicate them"
-            );
         }
     }
 }
