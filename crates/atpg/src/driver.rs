@@ -7,13 +7,15 @@
 //!   and the random-pattern phase. The parallel engine builds one and
 //!   shares it by reference with every worker.
 //! - **Solver context** (`SolverContext`) owns the optional warm
-//!   [`IncrementalAtpg`], the optional [`StreamSink`] proof stream and
-//!   whether solves are observed through a counting probe. It is the only
-//!   place a fault gets solved; each parallel worker owns one.
+//!   [`IncrementalAtpg`], the optional [`StreamSink`] proof stream,
+//!   whether solves are observed through a counting probe and whether
+//!   each solve yields an [`InstanceTrace`]. It is the only place a fault
+//!   gets solved; each parallel worker owns one.
 //! - **Commit state** (`CommitState`) holds the detected bits, the tests,
-//!   the records and the traces. Applying a verdict's drop hits and
-//!   emitting records go through it, from [`CampaignDriver::step`] and
-//!   from the parallel commit loop alike.
+//!   the records and the traces. Applying a verdict's drop hits, keeping
+//!   its trace and emitting records go through it, from
+//!   [`CampaignDriver::step`] and from the parallel commit loop alike, so
+//!   a solve that never commits leaves no trace.
 //!
 //! [`CampaignDriver`] is the sequential composition of the three and the
 //! primitive the serving layer schedules: construction builds the setup;
@@ -173,12 +175,14 @@ pub(crate) struct Solved {
     pub(crate) counters: Counters,
     /// Proof bytes the solve logged (0 unless certified).
     pub(crate) proof_bytes: u64,
+    /// The instance's trace line, when the context traces.
+    trace: Option<InstanceTrace>,
 }
 
 impl Solved {
     /// The instance's trace line; `seq` is the fault index, which is also
     /// the record's index in the campaign result.
-    pub(crate) fn trace(&self, nl: &Netlist, worker: u64) -> InstanceTrace {
+    fn instance_trace(&self, nl: &Netlist, worker: u64) -> InstanceTrace {
         let r = &self.record;
         InstanceTrace {
             seq: self.index as u64,
@@ -202,6 +206,9 @@ pub(crate) struct SolverContext {
     warm: Option<IncrementalAtpg>,
     sink: Option<StreamSink>,
     counted: bool,
+    /// The worker id stamped on each solve's trace; `None` when the
+    /// campaign does not trace.
+    trace_worker: Option<u64>,
     bufs: SimBuffers,
 }
 
@@ -209,8 +216,16 @@ impl SolverContext {
     /// A context over `nl`. With `config.incremental` it encodes a warm
     /// solver; with `certified` it logs every solve into its own proof
     /// stream; with `counted` it observes every solve through a
-    /// [`CountingProbe`] (an untraced sequential solve stays unprobed).
-    pub(crate) fn new(nl: &Netlist, config: &AtpgConfig, counted: bool, certified: bool) -> Self {
+    /// [`CountingProbe`] (an untraced sequential solve stays unprobed);
+    /// with `trace_worker` each solve carries its [`InstanceTrace`],
+    /// stamped with that worker id (tracing needs `counted`).
+    pub(crate) fn new(
+        nl: &Netlist,
+        config: &AtpgConfig,
+        counted: bool,
+        trace_worker: Option<u64>,
+        certified: bool,
+    ) -> Self {
         let mut sink = certified.then(StreamSink::new);
         let warm = config.incremental.then(|| IncrementalAtpg::new(nl, config));
         if let (Some(s), Some(w)) = (sink.as_mut(), warm.as_ref()) {
@@ -220,6 +235,7 @@ impl SolverContext {
             warm,
             sink,
             counted,
+            trace_worker,
             bufs: SimBuffers::default(),
         }
     }
@@ -263,13 +279,18 @@ impl SolverContext {
             }
             _ => None,
         };
-        Solved {
+        let mut solved = Solved {
             index,
             record,
             hits,
             counters: probe.counters,
             proof_bytes,
-        }
+            trace: None,
+        };
+        solved.trace = self
+            .trace_worker
+            .map(|worker| solved.instance_trace(nl, worker));
+        solved
     }
 
     /// Tightens the warm solver's budget (the config copy is the
@@ -287,11 +308,11 @@ impl SolverContext {
 }
 
 /// The committed campaign: detected bits, the result (records and tests)
-/// and the traces of committed solves.
+/// and the traces of committed solves, in commit order.
 pub(crate) struct CommitState {
     detected: Vec<bool>,
     pub(crate) result: CampaignResult,
-    traces: Vec<InstanceTrace>,
+    pub(crate) traces: Vec<InstanceTrace>,
 }
 
 impl CommitState {
@@ -315,7 +336,8 @@ impl CommitState {
 
     /// Applies a solved verdict: a detected fault and every fault its
     /// test drops are marked detected (`publish` sees each newly marked
-    /// index) and the test is appended. Returns the record to emit.
+    /// index), the test is appended and the solve's trace, if any, is
+    /// kept. Returns the record to emit.
     pub(crate) fn commit(&mut self, solved: Solved, mut publish: impl FnMut(usize)) -> FaultRecord {
         if let FaultOutcome::Detected(vector) = &solved.record.outcome {
             let faults = self.detected.len();
@@ -335,6 +357,7 @@ impl CommitState {
             }
             self.result.tests.push(vector.clone());
         }
+        self.traces.extend(solved.trace);
         solved.record
     }
 }
@@ -350,7 +373,6 @@ pub struct CampaignDriver {
     setup: CampaignSetup,
     solver: SolverContext,
     commit: CommitState,
-    tracing: bool,
     next: usize,
     last_proof_bytes: u64,
 }
@@ -374,14 +396,13 @@ impl CampaignDriver {
         certified: bool,
     ) -> Result<Self, DriverError> {
         let (setup, commit) = CampaignSetup::new(&nl, config)?;
-        let solver = SolverContext::new(&nl, config, tracing, certified);
+        let solver = SolverContext::new(&nl, config, tracing, tracing.then_some(0), certified);
         Ok(CampaignDriver {
             nl,
             config: *config,
             setup,
             solver,
             commit,
-            tracing,
             next: 0,
             last_proof_bytes: 0,
         })
@@ -484,9 +505,6 @@ impl CampaignDriver {
             None => {
                 let solved = self.solver.solve(&self.nl, &self.config, &self.setup, i);
                 self.last_proof_bytes = solved.proof_bytes;
-                if self.tracing {
-                    self.commit.traces.push(solved.trace(&self.nl, 0));
-                }
                 self.commit.commit(solved, |_| {})
             }
         };
@@ -517,7 +535,7 @@ impl std::fmt::Debug for CampaignDriver {
             .field("circuit", &self.nl.name())
             .field("faults", &self.setup.faults.len())
             .field("position", &self.next)
-            .field("tracing", &self.tracing)
+            .field("tracing", &self.solver.trace_worker.is_some())
             .field("certified", &self.solver.sink.is_some())
             .finish()
     }

@@ -62,6 +62,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod certify;
 pub mod driver;

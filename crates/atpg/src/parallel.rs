@@ -72,7 +72,7 @@ use std::time::{Duration, Instant};
 use atpg_easy_syncx::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use atpg_easy_netlist::Netlist;
-use atpg_easy_obs::{CampaignMeta, Collector, Counters, InstanceTrace, LocalBuf};
+use atpg_easy_obs::{CampaignMeta, Counters, InstanceTrace};
 use atpg_easy_proof::Event;
 
 use crate::campaign::{AtpgConfig, CampaignResult, FaultOutcome, FaultRecord};
@@ -132,13 +132,14 @@ impl AtpgCampaign {
         self
     }
 
-    /// Enables per-instance trace collection: workers record one
-    /// [`InstanceTrace`] per solved SAT instance into thread-local buffers
-    /// that are handed off lock-free ([`LocalBuf`] over a [`Collector`]),
-    /// and [`ParallelRun::traces`] carries the committed traces sorted by
-    /// commit order. Off by default (tracing costs one trace record per
-    /// solve; the solver hot path itself is probed either way through the
-    /// monomorphized counting probe).
+    /// Enables per-instance trace collection: each solve carries its
+    /// [`InstanceTrace`], stamped with the solving worker's id, inside the
+    /// message it sends to the committer, and committing the solve keeps
+    /// the trace; a speculative solve that never commits leaves none.
+    /// [`ParallelRun::traces`] carries the committed traces in
+    /// fault-index order, not commit order. Off by default (tracing costs
+    /// one trace record per solve; the solver hot path itself is probed
+    /// either way through the monomorphized counting probe).
     pub fn with_tracing(mut self, tracing: bool) -> Self {
         self.tracing = tracing;
         self
@@ -188,7 +189,6 @@ impl AtpgCampaign {
             }
         }
 
-        let trace_sink = self.tracing.then(Collector::<InstanceTrace>::new);
         let (workers, streams): (Vec<WorkerReport>, Vec<Vec<Event>>) =
             std::thread::scope(|scope| {
                 let (tx, rx) = mpsc::channel::<Solved>();
@@ -196,10 +196,7 @@ impl AtpgCampaign {
                     .map(|id| {
                         let tx = tx.clone();
                         let (setup, queue, drop_bits) = (&setup, &queue, &drop_bits);
-                        let trace_sink = trace_sink.as_ref();
-                        scope.spawn(move || {
-                            run_worker(id, nl, self, setup, queue, drop_bits, trace_sink, tx)
-                        })
+                        scope.spawn(move || run_worker(id, nl, self, setup, queue, drop_bits, tx))
                     })
                     .collect();
                 drop(tx);
@@ -210,12 +207,8 @@ impl AtpgCampaign {
                     .unzip()
             });
         let result = commit.result;
-
-        // Keep only traces whose solve was actually committed (a wasted
-        // speculative solve commits as a simulated record with no SAT
-        // instance), and restore the deterministic commit order.
-        let mut traces = trace_sink.map(|c| c.drain()).unwrap_or_default();
-        traces.retain(|t| result.records[t.seq as usize].sat_vars > 0);
+        // A window wider than 1 commits out of index order.
+        let mut traces = commit.traces;
         traces.sort_unstable_by_key(|t| t.seq);
 
         // Every fault emits exactly one record, so the record outcomes
@@ -259,9 +252,10 @@ pub struct ParallelRun {
     pub result: CampaignResult,
     /// How the run was executed: per-worker counters, wall time.
     pub report: ParallelReport,
-    /// Per-instance traces in commit order, when tracing was enabled with
-    /// [`AtpgCampaign::with_tracing`]; empty otherwise. One trace per
-    /// committed solver call, whatever its verdict
+    /// Per-instance traces in fault-index order (ascending `seq`, which
+    /// is not commit order once the window is wider than 1), when tracing
+    /// was enabled with [`AtpgCampaign::with_tracing`]; empty otherwise.
+    /// One trace per committed solver call, whatever its verdict
     /// (`traces.len() == report.committed_solves()`), with `seq` equal
     /// to the record index in `result.records`.
     pub traces: Vec<InstanceTrace>,
@@ -500,8 +494,7 @@ impl DropBitmap {
 /// One worker: pops chunks of fault indices and solves every index whose
 /// drop bit is still clear through its own [`SolverContext`] — its own
 /// warm solver and proof stream — shipping each [`Solved`] instance
-/// (record plus drop hits) to the committer.
-#[allow(clippy::too_many_arguments)]
+/// (record, drop hits and, when tracing, its trace) to the committer.
 fn run_worker(
     id: usize,
     nl: &Netlist,
@@ -509,16 +502,16 @@ fn run_worker(
     setup: &CampaignSetup,
     queue: &ShardedQueue,
     drop_bits: &DropBitmap,
-    trace_sink: Option<&Collector<InstanceTrace>>,
     tx: mpsc::Sender<Solved>,
 ) -> (WorkerReport, Vec<Event>) {
     let mut report = WorkerReport {
         id,
         ..WorkerReport::default()
     };
-    let mut traces = trace_sink.map(LocalBuf::new);
+    let trace_worker = campaign.tracing.then_some(id as u64);
     // Always counted: `WorkerReport::counters` reports the totals.
-    let mut solver = SolverContext::new(nl, &campaign.config, true, campaign.certified);
+    let mut solver =
+        SolverContext::new(nl, &campaign.config, true, trace_worker, campaign.certified);
     while let Some((range, stolen)) = queue.pop_chunk(id, CHUNK_CAP) {
         report.chunks += 1;
         report.popped += range.len();
@@ -539,9 +532,6 @@ fn run_worker(
             report.solved += 1;
             report.solve_time += solved.record.solve_time;
             report.counters.add(&solved.counters);
-            if let Some(buf) = traces.as_mut() {
-                buf.push(solved.trace(nl, id as u64));
-            }
             // The committer may already have passed this fault and hung
             // up; a closed channel just means the solve was wasted.
             let _ = tx.send(solved);

@@ -28,6 +28,8 @@
 //! assert_eq!(m.sat_count(f), 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod circuit;
 mod manager;
 

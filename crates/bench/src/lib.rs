@@ -5,6 +5,8 @@
 //! simple `--key value` flags; run with `--help` for usage. Results are
 //! printed as plain-text tables — the same rows/series the paper plots.
 
+#![forbid(unsafe_code)]
+
 use atpg_easy_circuits::suite::{self, NamedCircuit};
 
 pub mod lint_cli;

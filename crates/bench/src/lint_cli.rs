@@ -52,6 +52,7 @@ use atpg_easy_lint::{
     redundancy as redundancy_lint, NetlistLintConfig, Report,
 };
 use atpg_easy_netlist::{decompose, parser, Netlist};
+use atpg_easy_obs::json_escape_into;
 
 const USAGE: &str = "usage: lint [FILES...] [--all-circuits] [--implic] [--trace FILE]... \
                      [--dimacs FILE --drat FILE] [--source ROOT] [--json] [--strict] \
@@ -335,28 +336,19 @@ pub fn run() -> ExitCode {
         }
     }
 
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
-    let mut json_parts: Vec<String> = Vec::new();
-    for (name, report) in &reports {
-        errors += report.errors();
-        warnings += report.warnings();
-        if opts.json {
-            json_parts.push(format!(
-                "{{\"target\":\"{}\",\"report\":{}}}",
-                name.replace('\\', "\\\\").replace('"', "\\\""),
-                report.render_json().trim_end()
-            ));
-        } else if report.is_empty() {
-            println!("{name}: clean");
-        } else {
-            println!("{name}:");
-            print!("{}", report.render_human());
-        }
-    }
+    let errors: usize = reports.iter().map(|(_, r)| r.errors()).sum();
+    let warnings: usize = reports.iter().map(|(_, r)| r.warnings()).sum();
     if opts.json {
-        println!("{{\"targets\":[{}]}}", json_parts.join(","));
+        println!("{}", json_envelope(&reports));
     } else {
+        for (name, report) in &reports {
+            if report.is_empty() {
+                println!("{name}: clean");
+            } else {
+                println!("{name}:");
+                print!("{}", report.render_human());
+            }
+        }
         println!(
             "lint: {} target(s), {errors} error(s), {warnings} warning(s)",
             reports.len()
@@ -367,5 +359,47 @@ pub fn run() -> ExitCode {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+/// The `--json` output: `{"targets":[...]}` with one
+/// `{"target":NAME,"report":{...}}` object per linted target.
+fn json_envelope(reports: &[(String, Report)]) -> String {
+    let mut out = String::from("{\"targets\":[");
+    for (i, (name, report)) in reports.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"target\":\"");
+        json_escape_into(&mut out, name);
+        out.push_str("\",\"report\":");
+        out.push_str(report.render_json().trim_end());
+        out.push('}');
+    }
+    out.push_str("]}");
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_envelope_escapes_target_names() {
+        let reports = vec![
+            ("a\"b\\c\td\u{1}e.bench".to_string(), Report::default()),
+            ("plain".to_string(), Report::default()),
+        ];
+        let out = json_envelope(&reports);
+        let empty = Report::default().render_json();
+        let want = format!(
+            "{{\"targets\":[{{\"target\":\"a\\\"b\\\\c\\td\\u0001e.bench\",\"report\":{empty}}},\
+             {{\"target\":\"plain\",\"report\":{empty}}}]}}"
+        );
+        assert_eq!(out, want);
+        assert!(
+            !out.chars().any(|c| (c as u32) < 0x20),
+            "raw control characters inside a JSON string: {out:?}"
+        );
     }
 }

@@ -23,6 +23,8 @@
 //! All generators are deterministic in their parameters (random ones take
 //! an explicit seed).
 
+#![forbid(unsafe_code)]
+
 pub mod adders;
 pub mod alu;
 pub mod cellular;

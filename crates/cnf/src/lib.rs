@@ -26,6 +26,8 @@
 //! assert_eq!(f.eval(&[Some(false), Some(false)]), Some(true));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod circuit;
 pub mod dimacs;
 mod formula;

@@ -19,6 +19,8 @@
 //! - [`varorder`]: the bridge from hypergraph node orderings to solver
 //!   variable orders.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod bounds;
 pub mod experiment;

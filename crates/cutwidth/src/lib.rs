@@ -37,6 +37,8 @@
 //! assert_eq!(w, 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bb;
 pub mod directed;
 pub mod exact;

@@ -20,6 +20,8 @@
 //! assert_eq!(fit.model, Model::Logarithmic);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 /// The candidate model families of the paper's Section 5.2.2.

@@ -33,6 +33,7 @@
 //! campaign driver runs it before building miters so that malformed
 //! inputs fail with a diagnostic report instead of a mid-campaign panic.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
 
 pub mod activation;

@@ -1,14 +1,14 @@
 //! `S*` passes: static analysis of the workspace's own Rust source.
 //!
-//! The parallel campaign engine ([`atpg::parallel`]) and the trace
-//! collector ([`obs`]) are lock-free code: their correctness rests on
-//! `unsafe` blocks and atomic-ordering choices that the compiler cannot
-//! check. These passes make the *justifications* for those choices
-//! machine-checkable conventions instead of tribal knowledge:
+//! The parallel campaign engine ([`atpg::parallel`]) is lock-free code:
+//! its correctness rests on atomic-ordering choices that the compiler
+//! cannot check. These passes make the *justifications* for those
+//! choices machine-checkable conventions instead of tribal knowledge:
 //!
 //! - **S001** — every `unsafe` block, fn, trait or impl carries a
 //!   `// SAFETY:` comment (same line or the contiguous comment block
-//!   immediately above).
+//!   immediately above). Every crate root forbids `unsafe_code` today, so
+//!   this pass is the bar a future exception would have to clear.
 //! - **S002** — no raw `std::sync::atomic` (or `core::sync::atomic`)
 //!   use outside the `syncx` facade crate, so the loom-model cfg switch
 //!   provably covers every atomic in the workspace.

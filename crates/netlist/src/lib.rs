@@ -40,6 +40,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod decompose;
 mod error;
 mod gate;

@@ -13,35 +13,30 @@
 //!   to exactly the code it would be without this crate.
 //! - [`CountingProbe`]: aggregates the stream into [`Counters`], the
 //!   probe-derived per-instance summary reported by campaign engines.
-//! - [`RecordingProbe`]: captures the raw [`Event`] stream (bounded) for
-//!   tests and debugging.
-//! - [`Collector`] + [`LocalBuf`]: thread-local trace buffers with a
-//!   lock-free (Treiber-stack) hand-off, so parallel campaign workers
-//!   record without contention.
 //! - [`InstanceTrace`] / [`CampaignMeta`]: one JSONL line per SAT
 //!   instance (plus one gauge line per campaign), with a parser for the
-//!   same schema so traces round-trip.
+//!   same schema so traces round-trip. Campaign engines keep the traces
+//!   of committed solves with the rest of their commit state.
 //! - Sinks ([`JsonlSink`], [`CsvSink`], [`SummarySink`]): stream traces
 //!   to JSONL, to the Figure-1 CSV schema, or into an in-process
 //!   log-scale histogram/percentile summary ([`TraceSummary`]).
 //!
-//! No dependencies; JSON is hand-rolled like the rest of the workspace's
-//! report output.
+//! No dependencies beyond the `syncx` facade (for [`SharedSink`]'s
+//! mutex). JSON is hand-rolled; [`json_escape_into`] is the workspace's
+//! one JSON string escaper outside the dependency-free `proof` checker.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
 
-mod buffer;
 mod hist;
 mod probe;
 mod sink;
 mod trace;
 
-pub use buffer::{Collector, LocalBuf};
 pub use hist::LogHistogram;
-pub use probe::{
-    Counters, CountingProbe, Event, NoProbe, Probe, ProbeOutcome, RecordingProbe, Tee,
-};
+pub use probe::{Counters, CountingProbe, NoProbe, Probe, ProbeOutcome};
 pub use sink::{CsvSink, JsonlSink, SharedSink, SummarySink, TraceSink, TraceSummary};
 pub use trace::{
-    json_escape, parse_jsonl, parse_jsonl_line, CampaignMeta, InstanceTrace, TraceLine,
+    json_escape, json_escape_into, parse_jsonl, parse_jsonl_line, CampaignMeta, InstanceTrace,
+    TraceLine,
 };

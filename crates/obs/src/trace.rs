@@ -151,13 +151,23 @@ fn push_num(s: &mut String, key: &str, v: u64) {
 }
 
 fn push_str(s: &mut String, key: &str, v: &str) {
-    let _ = write!(s, ",\"{key}\":\"{}\"", json_escape(v));
+    let _ = write!(s, ",\"{key}\":\"");
+    json_escape_into(s, v);
+    s.push('"');
 }
 
 /// Escapes a string for embedding in a JSON string literal: quotes,
 /// backslashes and every control character.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    json_escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped for a JSON string literal: `"` and `\`
+/// are backslash-escaped, `\n`, `\r` and `\t` get their short forms, and
+/// every other control character below U+0020 becomes `\u00XX`.
+pub fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -171,7 +181,6 @@ pub fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// A scanned value in a flat trace object.

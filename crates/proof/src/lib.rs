@@ -28,6 +28,7 @@
 //! and checker would defeat certification; the only shared artifact is
 //! the integer encoding of a literal.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
 
 pub mod audit;

@@ -35,6 +35,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod caching;
 mod cdcl;
 mod dpll;

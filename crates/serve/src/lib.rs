@@ -34,6 +34,7 @@
 //! [`campaign::run`]: atpg_easy_atpg::campaign::run
 //! [`Scheduler`]: crate::sched::Scheduler
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -19,6 +19,7 @@
 //! Responses (server → client) are described on [`Response`].
 
 use atpg_easy_atpg::{AtpgConfig, SolverChoice};
+use atpg_easy_obs::json_escape_into;
 use atpg_easy_sat::Limits;
 
 /// Default cap on one request line (netlists ride inside a line).
@@ -310,19 +311,7 @@ pub(crate) fn push_str(out: &mut String, key: &str, value: &str) {
     out.push('"');
     out.push_str(key);
     out.push_str("\":\"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    json_escape_into(out, value);
     out.push('"');
 }
 

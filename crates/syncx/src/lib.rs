@@ -1,13 +1,14 @@
 //! Synchronization facade for the *atpg-easy* workspace.
 //!
 //! Concurrency-sensitive code (the parallel campaign engine's sharded
-//! queue and drop-bitmap, the `obs` trace collector) imports its atomics,
-//! `Arc`, `Mutex`, and thread-spawning through this crate instead of
-//! `std::sync` directly. In a normal build every item below is a plain
-//! re-export of the std type — zero cost, byte-identical codegen. Under
+//! queue and drop-bitmap, the serve daemon's scheduler and counters,
+//! `obs`'s shared trace sink) imports its atomics, `Arc`, `Mutex`, and
+//! thread-spawning through this crate instead of `std::sync` directly.
+//! In a normal build every item below is a plain re-export of the std
+//! type — zero cost, byte-identical codegen. Under
 //! `RUSTFLAGS="--cfg loom"` the same paths resolve to the loom model
-//! checker's shims, so the `tests/loom_*.rs` suites can exhaustively
-//! explore thread interleavings of the real production types.
+//! checker's shims, so the `loom_parallel` suite can exhaustively explore
+//! thread interleavings of the real production types.
 //!
 //! The `S002` source lint enforces the funnel: no crate outside this one
 //! may import `std::sync::atomic`, so new atomics cannot silently escape
@@ -18,17 +19,15 @@
 //! inside `loom::model`; outside a model the loom shims panic. Normal
 //! builds have no such restriction (the types *are* std's).
 
+#![forbid(unsafe_code)]
+
 /// Atomic types and orderings (`std::sync::atomic` or loom's shims).
 pub mod atomic {
     #[cfg(not(loom))]
-    pub use std::sync::atomic::{
-        fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-    };
+    pub use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
     #[cfg(loom)]
-    pub use loom::sync::atomic::{
-        fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-    };
+    pub use loom::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 }
 
 /// Thread spawning (`std::thread` or loom's scheduler-aware shims).

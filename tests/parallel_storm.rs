@@ -58,6 +58,11 @@ fn eight_thread_storm_matches_single_thread_byte_for_byte() {
 /// config is the warm, statically pruned option set; it must also prune
 /// exactly the faults the sequential driver prunes. This is the
 /// reconciliation guarantee under real OS-thread contention.
+///
+/// Every run traces, so the traced commit path is exercised where commit
+/// order differs from fault order (windows wider than 1): exactly one
+/// trace per committed solve, in ascending `seq`, each matching the
+/// record it describes and stamped with a real worker id.
 #[test]
 fn window_sweep_keeps_detection_identical_across_threads() {
     let nl = generate(&RandomCircuitConfig {
@@ -93,6 +98,7 @@ fn window_sweep_keeps_detection_identical_across_threads() {
                 let run = AtpgCampaign::new(config)
                     .with_threads(threads)
                     .with_commit_window(window)
+                    .with_tracing(true)
                     .run(&nl);
                 let what = format!(
                     "incremental={} static_prune={} threads={threads} window={window}",
@@ -122,6 +128,36 @@ fn window_sweep_keeps_detection_identical_across_threads() {
                     chunks <= popped,
                     "chunked pops must batch indices, not duplicate them"
                 );
+                assert_eq!(
+                    run.traces.len(),
+                    run.report.committed_solves(),
+                    "{what}: one trace per committed solve"
+                );
+                assert!(
+                    run.traces.windows(2).all(|w| w[0].seq < w[1].seq),
+                    "{what}: traces must be in strictly ascending seq order"
+                );
+                for t in &run.traces {
+                    let r = &run.result.records[t.seq as usize];
+                    assert!(r.sat_vars > 0, "{what}: seq {} has no SAT instance", t.seq);
+                    assert_eq!(
+                        (t.vars, t.clauses, t.sub_size, t.outcome.as_str()),
+                        (
+                            r.sat_vars as u64,
+                            r.sat_clauses as u64,
+                            r.sub_size as u64,
+                            campaign::outcome_label(&r.outcome)
+                        ),
+                        "{what}: seq {} trace disagrees with its record",
+                        t.seq
+                    );
+                    assert!(
+                        (t.worker as usize) < threads,
+                        "{what}: seq {} stamped with worker {}",
+                        t.seq,
+                        t.worker
+                    );
+                }
             }
         }
     }

@@ -1,8 +1,9 @@
 //! Self-lint: the `S*` source passes must hold over this workspace's own
 //! crate sources. This is the enforcement point for the concurrency
-//! conventions — every `unsafe` justified, every atomic behind the
-//! `syncx` facade, every mixed-file `Relaxed` argued, every spawn inside
-//! the parallel engine — so a regression fails `cargo test`, not just CI.
+//! conventions — every atomic behind the `syncx` facade, every mixed-file
+//! `Relaxed` argued, every spawn inside the parallel engine, and no
+//! `unsafe` in any crate (each root forbids it) — so a regression fails
+//! `cargo test`, not just CI.
 
 use std::path::Path;
 
@@ -30,7 +31,6 @@ fn the_scan_actually_covers_the_lock_free_core() {
     // expected markers.
     for file in [
         "crates/atpg/src/parallel.rs",
-        "crates/obs/src/buffer.rs",
         "crates/syncx/src/lib.rs",
         "crates/implic/src/graph.rs",
         "crates/implic/src/redundancy.rs",
@@ -44,41 +44,42 @@ fn the_scan_actually_covers_the_lock_free_core() {
         parallel.contains("ORDERING:"),
         "parallel.rs lost its ordering audit trail"
     );
-    let buffer = std::fs::read_to_string(workspace_root().join("crates/obs/src/buffer.rs"))
-        .expect("read buffer.rs");
-    assert!(
-        buffer.contains("SAFETY:") && buffer.contains("ORDERING:"),
-        "buffer.rs lost its safety/ordering comments"
-    );
-    // The implication engine is pure bit-matrix code; it must stay out
-    // of the unsafe/atomic business entirely.
-    let implic = std::fs::read_to_string(workspace_root().join("crates/implic/src/lib.rs"))
-        .expect("read implic lib.rs");
-    assert!(
-        implic.contains("#![forbid(unsafe_code)]"),
-        "implic lib.rs dropped its forbid(unsafe_code)"
-    );
+    // No crate has `unsafe` code, and every crate root keeps it that way.
+    let mut roots = 0;
+    for entry in std::fs::read_dir(workspace_root().join("crates")).expect("list crates/") {
+        let lib = entry.expect("crates/ entry").path().join("src/lib.rs");
+        let text =
+            std::fs::read_to_string(&lib).unwrap_or_else(|e| panic!("read {}: {e}", lib.display()));
+        assert!(
+            text.contains("#![forbid(unsafe_code)]"),
+            "{} does not forbid unsafe_code",
+            lib.display()
+        );
+        roots += 1;
+    }
+    assert!(roots >= 16, "the crate scan found only {roots} crate roots");
 }
 
 #[test]
-fn stripping_a_safety_comment_is_caught() {
-    // End-to-end negative check on real code: the S001 pass must flag
-    // buffer.rs if its SAFETY comments were deleted.
-    let buffer = std::fs::read_to_string(workspace_root().join("crates/obs/src/buffer.rs"))
-        .expect("read buffer.rs");
-    let stripped: String = buffer
+fn stripping_an_ordering_comment_is_caught() {
+    // End-to-end negative check on real code: parallel.rs mixes Relaxed
+    // queue cursors with the drop bitmap's Release/Acquire, so the S003
+    // pass must flag it if its ORDERING comments were deleted.
+    let parallel = std::fs::read_to_string(workspace_root().join("crates/atpg/src/parallel.rs"))
+        .expect("read parallel.rs");
+    let stripped: String = parallel
         .lines()
-        .filter(|l| !l.trim_start().starts_with("// SAFETY:"))
+        .filter(|l| !l.trim_start().starts_with("// ORDERING:"))
         .map(|l| format!("{l}\n"))
         .collect();
     let report = atpg_easy_lint::source::lint_file(
-        "crates/obs/src/buffer.rs",
+        "crates/atpg/src/parallel.rs",
         &stripped,
         &SourceLintConfig::default(),
     );
     assert!(
-        report.has_code(Code::S001),
-        "deleting SAFETY comments went unnoticed:\n{}",
+        report.has_code(Code::S003),
+        "deleting ORDERING comments went unnoticed:\n{}",
         report.render_human()
     );
 }
