@@ -432,20 +432,6 @@ impl ServeBenchReport {
     }
 }
 
-/// Renders scaling measurements taken with the default engine
-/// configuration (strict in-order committing, from-scratch solving) as
-/// JSON. See [`ScalingReport::to_json`].
-pub fn scaling_json(suite: &str, host_cpus: usize, runs: &[ScalingRun]) -> String {
-    ScalingReport {
-        suite: suite.to_string(),
-        host_cpus,
-        commit_window: 1,
-        incremental: false,
-        runs: runs.to_vec(),
-    }
-    .to_json()
-}
-
 #[cfg(test)]
 mod parallel_report_tests {
     use super::*;
@@ -486,7 +472,14 @@ mod parallel_report_tests {
                 per_worker_solved: vec![7, 5],
             },
         ];
-        let j = scaling_json("mcnc", 4, &runs);
+        let j = ScalingReport {
+            suite: "mcnc".into(),
+            host_cpus: 4,
+            commit_window: 1,
+            incremental: false,
+            runs,
+        }
+        .to_json();
         assert!(j.contains("\"suite\": \"mcnc\""), "{j}");
         assert!(j.contains("\"host_cpus\": 4"), "{j}");
         assert!(j.contains("\"commit_window\": 1"), "{j}");
@@ -532,7 +525,14 @@ mod parallel_report_tests {
 
     #[test]
     fn suite_names_are_escaped_as_json_strings() {
-        let scaling = scaling_json("a\u{1}b\"c\\", 1, &[]);
+        let scaling = ScalingReport {
+            suite: "a\u{1}b\"c\\".into(),
+            host_cpus: 1,
+            commit_window: 1,
+            incremental: false,
+            runs: Vec::new(),
+        }
+        .to_json();
         assert!(
             scaling.contains(r#""suite": "a\u0001b\"c\\","#),
             "{scaling}"

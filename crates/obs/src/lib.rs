@@ -20,23 +20,25 @@
 //! - Sinks ([`JsonlSink`], [`CsvSink`], [`SummarySink`]): stream traces
 //!   to JSONL, to the Figure-1 CSV schema, or into an in-process
 //!   log-scale histogram/percentile summary ([`TraceSummary`]).
+//! - [`json`]: the one flat-JSON codec — scanner, typed field reader
+//!   and `,"key":value` writers — shared by the trace lines and the
+//!   `serve` wire protocol. Its [`json_escape_into`] is the workspace's
+//!   one JSON string escaper outside the dependency-free `proof` checker.
 //!
 //! No dependencies beyond the `syncx` facade (for [`SharedSink`]'s
-//! mutex). JSON is hand-rolled; [`json_escape_into`] is the workspace's
-//! one JSON string escaper outside the dependency-free `proof` checker.
+//! mutex).
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
 
 mod hist;
+pub mod json;
 mod probe;
 mod sink;
 mod trace;
 
 pub use hist::LogHistogram;
+pub use json::{json_escape, json_escape_into};
 pub use probe::{Counters, CountingProbe, NoProbe, Probe, ProbeOutcome};
 pub use sink::{CsvSink, JsonlSink, SharedSink, SummarySink, TraceSink, TraceSummary};
-pub use trace::{
-    json_escape, json_escape_into, parse_jsonl, parse_jsonl_line, CampaignMeta, InstanceTrace,
-    TraceLine,
-};
+pub use trace::{parse_jsonl, parse_jsonl_line, CampaignMeta, InstanceTrace, TraceLine};

@@ -1,12 +1,10 @@
 //! The JSONL trace schema: one line per SAT instance, plus one gauge
 //! line per campaign, with a parser so traces round-trip.
 //!
-//! No serde in this workspace — lines are flat objects of strings and
-//! non-negative integers, hand-encoded like `core::report::scaling_json`
-//! and parsed with a small recursive-descent scanner.
+//! Lines are flat objects of strings and non-negative integers, written
+//! and scanned by the crate's one flat-JSON codec, [`crate::json`].
 
-use std::fmt::Write as _;
-
+use crate::json::{self, push_num, push_str, Fields, JsonError};
 use crate::probe::Counters;
 
 /// One solved SAT instance, as recorded by a campaign engine.
@@ -146,246 +144,71 @@ pub enum TraceLine {
     Campaign(CampaignMeta),
 }
 
-fn push_num(s: &mut String, key: &str, v: u64) {
-    let _ = write!(s, ",\"{key}\":{v}");
-}
-
-fn push_str(s: &mut String, key: &str, v: &str) {
-    let _ = write!(s, ",\"{key}\":\"");
-    json_escape_into(s, v);
-    s.push('"');
-}
-
-/// Escapes a string for embedding in a JSON string literal: quotes,
-/// backslashes and every control character.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    json_escape_into(&mut out, s);
-    out
-}
-
-/// Appends `s` to `out`, escaped for a JSON string literal: `"` and `\`
-/// are backslash-escaped, `\n`, `\r` and `\t` get their short forms, and
-/// every other control character below U+0020 becomes `\u00XX`.
-pub fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// A scanned value in a flat trace object.
-enum Scalar {
-    Str(String),
-    Num(u64),
-}
-
-/// Parses one flat JSON object (`{"key": "str" | uint, ...}`) into
-/// key/value pairs. Rejects nesting, floats, negatives, booleans — the
-/// trace schema uses none of them.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
-    let bytes = line.as_bytes();
-    let mut i = 0usize;
-    let err = |i: usize, what: &str| format!("byte {i}: {what}");
-    let skip_ws = |bytes: &[u8], mut i: usize| {
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        i
-    };
-    i = skip_ws(bytes, i);
-    if i >= bytes.len() || bytes[i] != b'{' {
-        return Err(err(i, "expected '{'"));
-    }
-    i += 1;
-    let mut out = Vec::new();
-    loop {
-        i = skip_ws(bytes, i);
-        if i < bytes.len() && bytes[i] == b'}' && out.is_empty() {
-            i += 1;
-            break;
-        }
-        let (key, next) = parse_string(line, i)?;
-        i = skip_ws(bytes, next);
-        if i >= bytes.len() || bytes[i] != b':' {
-            return Err(err(i, "expected ':'"));
-        }
-        i = skip_ws(bytes, i + 1);
-        if i >= bytes.len() {
-            return Err(err(i, "expected value"));
-        }
-        let value = if bytes[i] == b'"' {
-            let (v, next) = parse_string(line, i)?;
-            i = next;
-            Scalar::Str(v)
-        } else if bytes[i].is_ascii_digit() {
-            let start = i;
-            while i < bytes.len() && bytes[i].is_ascii_digit() {
-                i += 1;
-            }
-            let n: u64 = line[start..i]
-                .parse()
-                .map_err(|_| err(start, "integer out of range"))?;
-            Scalar::Num(n)
-        } else {
-            return Err(err(i, "expected string or unsigned integer"));
-        };
-        out.push((key, value));
-        i = skip_ws(bytes, i);
-        match bytes.get(i) {
-            Some(b',') => i += 1,
-            Some(b'}') => {
-                i += 1;
-                break;
-            }
-            _ => return Err(err(i, "expected ',' or '}'")),
-        }
-    }
-    i = skip_ws(bytes, i);
-    if i != bytes.len() {
-        return Err(err(i, "trailing input after object"));
-    }
-    Ok(out)
-}
-
-/// Parses a quoted JSON string starting at byte `i`; returns the decoded
-/// string and the index just past the closing quote.
-fn parse_string(line: &str, i: usize) -> Result<(String, usize), String> {
-    let bytes = line.as_bytes();
-    if i >= bytes.len() || bytes[i] != b'"' {
-        return Err(format!("byte {i}: expected '\"'"));
-    }
-    let mut out = String::new();
-    let mut chars = line[i + 1..].char_indices();
-    while let Some((off, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, i + 1 + off + 1)),
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '/')) => out.push('/'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'u')) => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let (_, h) = chars
-                            .next()
-                            .ok_or_else(|| format!("byte {i}: truncated \\u escape"))?;
-                        code = code * 16
-                            + h.to_digit(16)
-                                .ok_or_else(|| format!("byte {i}: bad \\u digit"))?;
-                    }
-                    out.push(
-                        char::from_u32(code)
-                            .ok_or_else(|| format!("byte {i}: invalid \\u code point"))?,
-                    );
-                }
-                _ => return Err(format!("byte {i}: bad escape")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err(format!("byte {i}: unterminated string"))
-}
-
-struct Fields {
-    pairs: Vec<(String, Scalar)>,
-}
-
-impl Fields {
-    fn num(&self, key: &str) -> Result<u64, String> {
-        match self.pairs.iter().find(|(k, _)| k == key) {
-            Some((_, Scalar::Num(n))) => Ok(*n),
-            Some((_, Scalar::Str(_))) => Err(format!("field '{key}' is a string, wanted integer")),
-            None => Err(format!("missing field '{key}'")),
-        }
-    }
-
-    fn num_opt(&self, key: &str) -> Result<Option<u64>, String> {
-        match self.pairs.iter().find(|(k, _)| k == key) {
-            Some((_, Scalar::Num(n))) => Ok(Some(*n)),
-            Some((_, Scalar::Str(_))) => Err(format!("field '{key}' is a string, wanted integer")),
-            None => Ok(None),
-        }
-    }
-
-    fn str(&self, key: &str) -> Result<String, String> {
-        match self.pairs.iter().find(|(k, _)| k == key) {
-            Some((_, Scalar::Str(s))) => Ok(s.clone()),
-            Some((_, Scalar::Num(_))) => Err(format!("field '{key}' is a number, wanted string")),
-            None => Err(format!("missing field '{key}'")),
-        }
-    }
-}
-
-/// Parses one trace line; returns an error naming the offending field for
-/// malformed input.
+/// Parses one trace line; returns an error naming the offending byte or
+/// field for malformed input.
 pub fn parse_jsonl_line(line: &str) -> Result<TraceLine, String> {
-    let f = Fields {
-        pairs: parse_flat_object(line)?,
+    let f = json::parse_flat_object(line).map_err(|e| e.to_string())?;
+    let ty: String = f.req("type").map_err(|e| e.to_string())?;
+    let parsed = match ty.as_str() {
+        "instance" => instance(&f).map(TraceLine::Instance),
+        "campaign" => campaign(&f).map(TraceLine::Campaign),
+        other => return Err(format!("unknown trace line type '{other}'")),
     };
-    match f.str("type")?.as_str() {
-        "instance" => Ok(TraceLine::Instance(InstanceTrace {
-            seq: f.num("seq")?,
-            circuit: f.str("circuit")?,
-            fault: f.str("fault")?,
-            vars: f.num("vars")?,
-            clauses: f.num("clauses")?,
-            sub_size: f.num("sub_size")?,
-            outcome: f.str("outcome")?,
-            wall_ns: f.num("wall_ns")?,
-            worker: f.num("worker")?,
-            // Proof logging postdates the original schema; absent in old
-            // traces means the campaign did not log proofs.
-            proof_bytes: f.num_opt("proof_bytes")?.unwrap_or(0),
-            counters: Counters {
-                decisions: f.num("decisions")?,
-                propagations: f.num("propagations")?,
-                conflicts: f.num("conflicts")?,
-                backtracks: f.num("backtracks")?,
-                cache_hits: f.num("cache_hits")?,
-                cache_misses: f.num("cache_misses")?,
-                cache_inserts: f.num("cache_inserts")?,
-                learned: f.num("learned")?,
-                learned_lits: f.num("learned_lits")?,
-                // Incremental-solver counters postdate the original
-                // schema; absent in old traces means zero.
-                assumptions: f.num_opt("assumptions")?.unwrap_or(0),
-                learnt_reused: f.num_opt("learnt_reused")?.unwrap_or(0),
-                restarts: f.num("restarts")?,
-                deadline_checks: f.num("deadline_checks")?,
-                max_depth: f.num("max_depth")?,
-            },
-        })),
-        "campaign" => Ok(TraceLine::Campaign(CampaignMeta {
-            circuit: f.str("circuit")?,
-            threads: f.num("threads")?,
-            // Postdates the original schema: strict in-order committing
-            // (width 1) was the only mode before windows existed.
-            commit_window: f.num_opt("commit_window")?.unwrap_or(1),
-            queue_depth: f.num("queue_depth")?,
-            committed_sat: f.num("committed_sat")?,
-            // Postdates the original schema: old traces folded UNSAT
-            // commits into committed_sat, so absent means zero.
-            committed_unsat: f.num_opt("committed_unsat")?.unwrap_or(0),
-            dropped: f.num("dropped")?,
-            wasted_solves: f.num("wasted_solves")?,
-            static_pruned: f.num_opt("static_pruned")?.unwrap_or(0),
-            cutwidth_estimate: f.num_opt("cutwidth_estimate")?,
-        })),
-        other => Err(format!("unknown trace line type '{other}'")),
-    }
+    parsed.map_err(|e| e.to_string())
+}
+
+fn instance(f: &Fields) -> Result<InstanceTrace, JsonError> {
+    Ok(InstanceTrace {
+        seq: f.req("seq")?,
+        circuit: f.req("circuit")?,
+        fault: f.req("fault")?,
+        vars: f.req("vars")?,
+        clauses: f.req("clauses")?,
+        sub_size: f.req("sub_size")?,
+        outcome: f.req("outcome")?,
+        wall_ns: f.req("wall_ns")?,
+        worker: f.req("worker")?,
+        // Proof logging postdates the original schema; absent in old
+        // traces means the campaign did not log proofs.
+        proof_bytes: f.opt("proof_bytes")?.unwrap_or(0),
+        counters: Counters {
+            decisions: f.req("decisions")?,
+            propagations: f.req("propagations")?,
+            conflicts: f.req("conflicts")?,
+            backtracks: f.req("backtracks")?,
+            cache_hits: f.req("cache_hits")?,
+            cache_misses: f.req("cache_misses")?,
+            cache_inserts: f.req("cache_inserts")?,
+            learned: f.req("learned")?,
+            learned_lits: f.req("learned_lits")?,
+            // Incremental-solver counters postdate the original
+            // schema; absent in old traces means zero.
+            assumptions: f.opt("assumptions")?.unwrap_or(0),
+            learnt_reused: f.opt("learnt_reused")?.unwrap_or(0),
+            restarts: f.req("restarts")?,
+            deadline_checks: f.req("deadline_checks")?,
+            max_depth: f.req("max_depth")?,
+        },
+    })
+}
+
+fn campaign(f: &Fields) -> Result<CampaignMeta, JsonError> {
+    Ok(CampaignMeta {
+        circuit: f.req("circuit")?,
+        threads: f.req("threads")?,
+        // Postdates the original schema: strict in-order committing
+        // (width 1) was the only mode before windows existed.
+        commit_window: f.opt("commit_window")?.unwrap_or(1),
+        queue_depth: f.req("queue_depth")?,
+        committed_sat: f.req("committed_sat")?,
+        // Postdates the original schema: old traces folded UNSAT
+        // commits into committed_sat, so absent means zero.
+        committed_unsat: f.opt("committed_unsat")?.unwrap_or(0),
+        dropped: f.req("dropped")?,
+        wasted_solves: f.req("wasted_solves")?,
+        static_pruned: f.opt("static_pruned")?.unwrap_or(0),
+        cutwidth_estimate: f.opt("cutwidth_estimate")?,
+    })
 }
 
 /// Parses a whole JSONL document, skipping blank lines. Errors carry the
@@ -490,6 +313,22 @@ mod tests {
         t.fault = "odd \"name\"\twith\\slashes\u{1}".into();
         match parse_jsonl_line(&t.to_jsonl()) {
             Ok(TraceLine::Instance(back)) => assert_eq!(back.fault, t.fault),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected() {
+        let line = sample().to_jsonl().replace("n3/s-a-0", "n3\t/s-a-0");
+        let e = parse_jsonl_line(&line).expect_err("a raw tab is not JSON");
+        assert!(e.contains("raw control character"), "{e}");
+    }
+
+    #[test]
+    fn a_repeated_key_keeps_its_last_value() {
+        let line = sample().to_jsonl().replace("}", ",\"seq\":99}");
+        match parse_jsonl_line(&line) {
+            Ok(TraceLine::Instance(back)) => assert_eq!(back.seq, 99),
             other => panic!("{other:?}"),
         }
     }

@@ -1,9 +1,9 @@
 //! The wire protocol: line-delimited JSON requests and responses.
 //!
 //! One JSON object per line, flat (no nesting), with string, unsigned
-//! integer and boolean values only — the same hand-rolled no-serde
-//! discipline as `obs::trace`, extended with booleans for the campaign
-//! option flags. The parser is total: every malformed input maps to a
+//! integer and boolean values only. Lines are scanned and written by
+//! `obs::json`, the workspace's one flat-JSON codec, which the trace
+//! lines share. The parser is total: every malformed input maps to a
 //! typed [`ProtoError`] with a stable machine-readable code, never a
 //! panic — the protocol robustness proptests pin this.
 //!
@@ -11,7 +11,8 @@
 //!
 //! | `type`     | fields                                                  |
 //! |------------|---------------------------------------------------------|
-//! | `campaign` | `id`, `netlist` (ISCAS-89 bench text), option fields    |
+//! | `campaign` | `id`, `netlist` (ISCAS-89 bench text), option fields;   |
+//! |            | `patterns` at most [`MAX_PATTERNS`], else `bad_field`   |
 //! | `cancel`   | `id`                                                    |
 //! | `ping`     | —                                                       |
 //! | `stats`    | —                                                       |
@@ -19,7 +20,7 @@
 //! Responses (server → client) are described on [`Response`].
 
 use atpg_easy_atpg::{AtpgConfig, SolverChoice};
-use atpg_easy_obs::json_escape_into;
+use atpg_easy_obs::json::{self, push_bool, push_num, push_str, JsonError};
 use atpg_easy_sat::Limits;
 
 /// Default cap on one request line (netlists ride inside a line).
@@ -27,6 +28,11 @@ pub const DEFAULT_MAX_LINE_BYTES: usize = 4 << 20;
 
 /// Default cap on the `netlist` field of a campaign request.
 pub const DEFAULT_MAX_NETLIST_BYTES: usize = 1 << 20;
+
+/// Cap on a campaign's `patterns`. The random phase runs while the
+/// campaign is built, before its first deadline or cancel check, so this
+/// bounds the time a request can hold a worker uninterruptibly.
+pub const MAX_PATTERNS: u64 = 1 << 16;
 
 /// Stable machine-readable error codes carried by `error` responses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,222 +128,30 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// One value of a flat JSON object.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
-    /// A JSON string.
-    Str(String),
-    /// A non-negative integer.
-    Num(u64),
-    /// A boolean.
-    Bool(bool),
+impl From<JsonError> for ProtoError {
+    fn from(e: JsonError) -> Self {
+        let code = match e {
+            JsonError::Syntax { .. } => ErrorCode::Json,
+            JsonError::Missing { .. } => ErrorCode::MissingField,
+            JsonError::WrongType { .. } => ErrorCode::BadField,
+        };
+        ProtoError::new(code, e.to_string())
+    }
 }
 
-/// Parses one line as a flat JSON object (`{"k":"v","n":3,"b":true}`).
-/// Nested objects/arrays, floats, negative numbers and `null` are
-/// rejected with [`ErrorCode::Json`]; duplicate keys keep the last
-/// occurrence.
-pub fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, ProtoError> {
-    // Byte-oriented scanner: verdict streams parse one of these per
-    // fault on the client, so strings without escapes (all of them, in
-    // practice) must bulk-copy instead of pushing char by char. Slicing
-    // on the matched bytes is UTF-8-safe — every delimiter tested is
-    // ASCII, and multi-byte sequences contain no bytes < 0x80.
-    let bad = |msg: &str| ProtoError::new(ErrorCode::Json, msg.to_string());
-    let b = line.as_bytes();
-    let mut i = 0usize;
-    let mut fields: Vec<(String, Value)> = Vec::new();
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && b[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
-    }
-
-    fn parse_string(line: &str, i: &mut usize) -> Result<String, ProtoError> {
-        let bad = |msg: &str| ProtoError::new(ErrorCode::Json, msg.to_string());
-        let b = line.as_bytes();
-        if b.get(*i) != Some(&b'"') {
-            return Err(bad("expected string"));
-        }
-        *i += 1;
-        let start = *i;
-        let mut j = *i;
-        while j < b.len() {
-            match b[j] {
-                b'"' => {
-                    // Fast path: no escapes — one bulk copy.
-                    let s = line[start..j].to_string();
-                    *i = j + 1;
-                    return Ok(s);
-                }
-                b'\\' => break,
-                c if c < 0x20 => return Err(bad("raw control character")),
-                _ => j += 1,
-            }
-        }
-        if j >= b.len() {
-            return Err(bad("unterminated string"));
-        }
-        // Escape path: seed with the clean prefix, then decode.
-        let mut s = String::with_capacity(j - start + 16);
-        s.push_str(&line[start..j]);
-        *i = j;
-        loop {
-            match b.get(*i) {
-                None => return Err(bad("unterminated string")),
-                Some(b'"') => {
-                    *i += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    *i += 1;
-                    match b.get(*i) {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b'u') => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                *i += 1;
-                                let d = b
-                                    .get(*i)
-                                    .and_then(|&c| (c as char).to_digit(16))
-                                    .ok_or_else(|| bad("bad \\u escape"))?;
-                                code = code * 16 + d;
-                            }
-                            s.push(char::from_u32(code).ok_or_else(|| bad("bad \\u code point"))?);
-                        }
-                        _ => return Err(bad("unknown escape")),
-                    }
-                    *i += 1;
-                }
-                Some(&c) if c < 0x20 => return Err(bad("raw control character")),
-                Some(_) => {
-                    let run = *i;
-                    let mut j = *i;
-                    while j < b.len() && b[j] != b'"' && b[j] != b'\\' && b[j] >= 0x20 {
-                        j += 1;
-                    }
-                    s.push_str(&line[run..j]);
-                    *i = j;
-                }
-            }
-        }
-    }
-
-    skip_ws(b, &mut i);
-    if b.get(i) != Some(&b'{') {
-        return Err(bad("expected '{'"));
-    }
-    i += 1;
-    skip_ws(b, &mut i);
-    if b.get(i) == Some(&b'}') {
-        i += 1;
-    } else {
-        loop {
-            skip_ws(b, &mut i);
-            let key = parse_string(line, &mut i)?;
-            skip_ws(b, &mut i);
-            if b.get(i) != Some(&b':') {
-                return Err(bad("expected ':'"));
-            }
-            i += 1;
-            skip_ws(b, &mut i);
-            let value = match b.get(i) {
-                Some(b'"') => Value::Str(parse_string(line, &mut i)?),
-                Some(b't') => {
-                    if b.get(i..i + 4) != Some(b"true") {
-                        return Err(bad("expected 'true'"));
-                    }
-                    i += 4;
-                    Value::Bool(true)
-                }
-                Some(b'f') => {
-                    if b.get(i..i + 5) != Some(b"false") {
-                        return Err(bad("expected 'false'"));
-                    }
-                    i += 5;
-                    Value::Bool(false)
-                }
-                Some(c) if c.is_ascii_digit() => {
-                    let mut n: u64 = 0;
-                    while let Some(c) = b.get(i) {
-                        let Some(d) = (*c as char).to_digit(10) else {
-                            break;
-                        };
-                        n = n
-                            .checked_mul(10)
-                            .and_then(|n| n.checked_add(u64::from(d)))
-                            .ok_or_else(|| bad("integer overflow"))?;
-                        i += 1;
-                    }
-                    if matches!(b.get(i), Some(b'.' | b'e' | b'E')) {
-                        return Err(bad("floats are not part of this protocol"));
-                    }
-                    Value::Num(n)
-                }
-                _ => return Err(bad("expected string, integer or boolean value")),
-            };
-            fields.retain(|(k, _)| k != &key);
-            fields.push((key, value));
-            skip_ws(b, &mut i);
-            match b.get(i) {
-                Some(b',') => {
-                    i += 1;
-                    continue;
-                }
-                Some(b'}') => {
-                    i += 1;
-                    break;
-                }
-                _ => return Err(bad("expected ',' or '}'")),
-            }
-        }
-    }
-    skip_ws(b, &mut i);
-    if let Some(c) = line[i..].chars().next() {
-        return Err(bad(&format!("trailing input after object: {c:?}")));
-    }
-    Ok(fields)
-}
-
-/// Appends `"key":"escaped-value"` (with leading comma) to `out`.
-pub(crate) fn push_str(out: &mut String, key: &str, value: &str) {
-    out.push(',');
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    json_escape_into(out, value);
-    out.push('"');
-}
-
-/// Appends `"key":n` (with leading comma) to `out`.
-pub(crate) fn push_num(out: &mut String, key: &str, value: u64) {
-    out.push(',');
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-}
-
-/// Appends `"key":true/false` (with leading comma) to `out`.
-pub(crate) fn push_bool(out: &mut String, key: &str, value: bool) {
-    out.push(',');
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(if value { "true" } else { "false" });
+/// Reads the `type` field; a missing or non-string one is `unknown_type`.
+fn line_type(fields: &json::Fields) -> Result<String, ProtoError> {
+    fields
+        .req("type")
+        .map_err(|e| ProtoError::new(ErrorCode::UnknownType, e.to_string()))
 }
 
 /// Campaign options carried by a `campaign` request; every field has a
 /// wire default so minimal requests stay minimal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignOptions {
-    /// Random patterns before the SAT phase (`patterns`, default 0).
+    /// Random patterns before the SAT phase (`patterns`, default 0, at
+    /// most [`MAX_PATTERNS`]).
     pub patterns: u64,
     /// Random-phase seed (`seed`, default 1).
     pub seed: u64,
@@ -435,62 +249,22 @@ pub enum Request {
     Stats,
 }
 
-fn get_str(fields: &[(String, Value)], key: &str) -> Result<Option<String>, ProtoError> {
-    match fields.iter().find(|(k, _)| k == key) {
-        None => Ok(None),
-        Some((_, Value::Str(s))) => Ok(Some(s.clone())),
-        Some((_, v)) => Err(ProtoError::new(
-            ErrorCode::BadField,
-            format!("field `{key}` must be a string, got {v:?}"),
-        )),
-    }
-}
-
-fn get_num(fields: &[(String, Value)], key: &str) -> Result<Option<u64>, ProtoError> {
-    match fields.iter().find(|(k, _)| k == key) {
-        None => Ok(None),
-        Some((_, Value::Num(n))) => Ok(Some(*n)),
-        Some((_, v)) => Err(ProtoError::new(
-            ErrorCode::BadField,
-            format!("field `{key}` must be an integer, got {v:?}"),
-        )),
-    }
-}
-
-fn get_bool(fields: &[(String, Value)], key: &str) -> Result<Option<bool>, ProtoError> {
-    match fields.iter().find(|(k, _)| k == key) {
-        None => Ok(None),
-        Some((_, Value::Bool(b))) => Ok(Some(*b)),
-        Some((_, v)) => Err(ProtoError::new(
-            ErrorCode::BadField,
-            format!("field `{key}` must be a boolean, got {v:?}"),
-        )),
-    }
-}
-
-fn require_str(fields: &[(String, Value)], key: &str) -> Result<String, ProtoError> {
-    get_str(fields, key)?
-        .ok_or_else(|| ProtoError::new(ErrorCode::MissingField, format!("field `{key}` required")))
-}
-
 impl Request {
     /// Parses one request line.
     pub fn parse(line: &str) -> Result<Request, ProtoError> {
-        let fields = parse_flat_object(line)?;
-        let ty = require_str(&fields, "type")
-            .map_err(|e| ProtoError::new(ErrorCode::UnknownType, e.msg))?;
-        match ty.as_str() {
+        let f = json::parse_flat_object(line)?;
+        match line_type(&f)?.as_str() {
             "campaign" => {
-                let id = require_str(&fields, "id")?;
-                let netlist = require_str(&fields, "netlist")?;
+                let id = f.req("id")?;
+                let netlist = f.req("netlist")?;
                 let mut options = CampaignOptions::default();
-                if let Some(n) = get_num(&fields, "patterns")? {
+                if let Some(n) = f.opt("patterns")? {
                     options.patterns = n;
                 }
-                if let Some(n) = get_num(&fields, "seed")? {
+                if let Some(n) = f.opt("seed")? {
                     options.seed = n;
                 }
-                if let Some(s) = get_str(&fields, "solver")? {
+                if let Some(s) = f.opt::<String>("solver")? {
                     options.solver = match s.as_str() {
                         "cdcl" => SolverChoice::Cdcl,
                         "dpll" => SolverChoice::Dpll,
@@ -504,39 +278,37 @@ impl Request {
                         }
                     };
                 }
-                if let Some(b) = get_bool(&fields, "incremental")? {
+                if let Some(b) = f.opt("incremental")? {
                     options.incremental = b;
                 }
-                if let Some(b) = get_bool(&fields, "static_prune")? {
+                if let Some(b) = f.opt("static_prune")? {
                     options.static_prune = b;
                 }
-                if let Some(b) = get_bool(&fields, "certify")? {
+                if let Some(b) = f.opt("certify")? {
                     options.certify = b;
                 }
-                if let Some(b) = get_bool(&fields, "trace")? {
+                if let Some(b) = f.opt("trace")? {
                     options.trace = b;
                 }
-                if let Some(b) = get_bool(&fields, "dropping")? {
+                if let Some(b) = f.opt("dropping")? {
                     options.dropping = b;
                 }
-                if let Some(b) = get_bool(&fields, "collapse")? {
+                if let Some(b) = f.opt("collapse")? {
                     options.collapse = b;
                 }
-                if let Some(b) = get_bool(&fields, "dominance")? {
+                if let Some(b) = f.opt("dominance")? {
                     options.dominance = b;
                 }
-                options.deadline_ms = get_num(&fields, "deadline_ms")?;
-                options.max_nodes = get_num(&fields, "max_nodes")?;
-                options.max_conflicts = get_num(&fields, "max_conflicts")?;
+                options.deadline_ms = f.opt("deadline_ms")?;
+                options.max_nodes = f.opt("max_nodes")?;
+                options.max_conflicts = f.opt("max_conflicts")?;
                 Ok(Request::Campaign {
                     id,
                     netlist,
                     options,
                 })
             }
-            "cancel" => Ok(Request::Cancel {
-                id: require_str(&fields, "id")?,
-            }),
+            "cancel" => Ok(Request::Cancel { id: f.req("id")? }),
             "ping" => Ok(Request::Ping),
             "stats" => Ok(Request::Stats),
             other => Err(ProtoError::new(
@@ -923,103 +695,82 @@ impl Response {
 
     /// Parses one response line (client side).
     pub fn parse(line: &str) -> Result<Response, ProtoError> {
-        let fields = parse_flat_object(line)?;
-        let ty = require_str(&fields, "type")
-            .map_err(|e| ProtoError::new(ErrorCode::UnknownType, e.msg))?;
-        let num = |key: &str| -> Result<u64, ProtoError> {
-            get_num(&fields, key)?.ok_or_else(|| {
-                ProtoError::new(ErrorCode::MissingField, format!("field `{key}` required"))
-            })
-        };
-        match ty.as_str() {
-            "accepted" => Ok(Response::Accepted {
-                id: require_str(&fields, "id")?,
-            }),
+        let f = json::parse_flat_object(line)?;
+        match line_type(&f)?.as_str() {
+            "accepted" => Ok(Response::Accepted { id: f.req("id")? }),
             "shed" => Ok(Response::Shed {
-                id: require_str(&fields, "id")?,
-                in_flight: num("in_flight")?,
-                capacity: num("capacity")?,
+                id: f.req("id")?,
+                in_flight: f.req("in_flight")?,
+                capacity: f.req("capacity")?,
             }),
             "start" => Ok(Response::Start {
-                id: require_str(&fields, "id")?,
-                faults: num("faults")?,
-                sim_detected: num("sim_detected")?,
-                random_tests: num("random_tests")?,
+                id: f.req("id")?,
+                faults: f.req("faults")?,
+                sim_detected: f.req("sim_detected")?,
+                random_tests: f.req("random_tests")?,
             }),
             "verdict" => Ok(Response::Verdict {
-                id: require_str(&fields, "id")?,
-                seq: num("seq")?,
-                net: num("net")?,
-                stuck: num("stuck")?,
-                verdict: require_str(&fields, "verdict")?,
-                vector: get_str(&fields, "vector")?,
+                id: f.req("id")?,
+                seq: f.req("seq")?,
+                net: f.req("net")?,
+                stuck: f.req("stuck")?,
+                verdict: f.req("verdict")?,
+                vector: f.opt("vector")?,
             }),
             "cert" => Ok(Response::Cert {
-                id: require_str(&fields, "id")?,
-                seq: num("seq")?,
-                proof_bytes: num("proof_bytes")?,
+                id: f.req("id")?,
+                seq: f.req("seq")?,
+                proof_bytes: f.req("proof_bytes")?,
             }),
             "audit" => Ok(Response::Audit {
-                id: require_str(&fields, "id")?,
-                certified: num("certified")?,
-                failed: num("failed")?,
-                uncertified: num("uncertified")?,
-                ok: get_bool(&fields, "ok")?.ok_or_else(|| {
-                    ProtoError::new(ErrorCode::MissingField, "field `ok` required")
-                })?,
+                id: f.req("id")?,
+                certified: f.req("certified")?,
+                failed: f.req("failed")?,
+                uncertified: f.req("uncertified")?,
+                ok: f.req("ok")?,
             }),
             "done" => {
-                let status = require_str(&fields, "status")?;
+                let status: String = f.req("status")?;
                 Ok(Response::Done {
-                    id: require_str(&fields, "id")?,
+                    id: f.req("id")?,
                     status: DoneStatus::from_wire(&status).ok_or_else(|| {
                         ProtoError::new(ErrorCode::BadField, format!("unknown status `{status}`"))
                     })?,
-                    detected: num("detected")?,
-                    untestable: num("untestable")?,
-                    aborted: num("aborted")?,
-                    deadlined: num("deadlined")?,
-                    solves: num("solves")?,
-                    wall_ms: num("wall_ms")?,
+                    detected: f.req("detected")?,
+                    untestable: f.req("untestable")?,
+                    aborted: f.req("aborted")?,
+                    deadlined: f.req("deadlined")?,
+                    solves: f.req("solves")?,
+                    wall_ms: f.req("wall_ms")?,
                 })
             }
             "error" => {
-                let code = require_str(&fields, "code")?;
+                let code: String = f.req("code")?;
                 Ok(Response::Error {
-                    id: get_str(&fields, "id")?,
+                    id: f.opt("id")?,
                     code: ErrorCode::from_wire(&code).ok_or_else(|| {
                         ProtoError::new(ErrorCode::BadField, format!("unknown code `{code}`"))
                     })?,
-                    msg: require_str(&fields, "msg")?,
+                    msg: f.req("msg")?,
                 })
             }
             "pong" => Ok(Response::Pong),
             "stats" => Ok(Response::Stats(StatsSnapshot {
-                admitted: num("admitted")?,
-                shed: num("shed")?,
-                completed: num("completed")?,
-                cancelled: num("cancelled")?,
-                failed: num("failed")?,
-                deadline_expired: num("deadline_expired")?,
-                solves: num("solves")?,
-                steps: num("steps")?,
-                active: num("active")?,
-                capacity: num("capacity")?,
+                admitted: f.req("admitted")?,
+                shed: f.req("shed")?,
+                completed: f.req("completed")?,
+                cancelled: f.req("cancelled")?,
+                failed: f.req("failed")?,
+                deadline_expired: f.req("deadline_expired")?,
+                solves: f.req("solves")?,
+                steps: f.req("steps")?,
+                active: f.req("active")?,
+                capacity: f.req("capacity")?,
             })),
             other => Err(ProtoError::new(
                 ErrorCode::UnknownType,
                 format!("unknown response type `{other}`"),
             )),
-        }
-    }
-
-    /// The error response for a [`ProtoError`], scoped to `id` when the
-    /// failing request named one.
-    pub fn from_proto_error(id: Option<String>, err: &ProtoError) -> Response {
-        Response::Error {
-            id,
-            code: err.code,
-            msg: err.msg.clone(),
         }
     }
 }
@@ -1185,23 +936,5 @@ mod tests {
             let err = Request::parse(line).unwrap_err();
             assert_eq!(err.code, code, "line: {line} -> {err}");
         }
-    }
-
-    #[test]
-    fn duplicate_keys_keep_the_last() {
-        let fields = parse_flat_object("{\"a\":1,\"a\":2}").unwrap();
-        assert_eq!(fields, vec![("a".to_string(), Value::Num(2))]);
-    }
-
-    #[test]
-    fn string_escapes_round_trip() {
-        let mut s = String::from("{\"type\":\"x\"");
-        push_str(&mut s, "k", "a\"b\\c\nd\te\rf\u{1}g");
-        s.push('}');
-        let fields = parse_flat_object(&s).unwrap();
-        assert_eq!(
-            fields[1],
-            ("k".to_string(), Value::Str("a\"b\\c\nd\te\rf\u{1}g".into()))
-        );
     }
 }

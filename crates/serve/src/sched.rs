@@ -51,7 +51,7 @@ use atpg_easy_syncx::{Arc, Mutex};
 use crate::clock::Clock;
 use crate::proto::{
     CampaignOptions, DoneStatus, ErrorCode, Response, StatsSnapshot, DEFAULT_MAX_LINE_BYTES,
-    DEFAULT_MAX_NETLIST_BYTES,
+    DEFAULT_MAX_NETLIST_BYTES, MAX_PATTERNS,
 };
 
 /// Server tuning knobs.
@@ -241,6 +241,16 @@ impl Scheduler {
                     "netlist is {} bytes; this server accepts at most {}",
                     netlist.len(),
                     self.config.max_netlist_bytes
+                ),
+            });
+        }
+        if options.patterns > MAX_PATTERNS {
+            return Some(Response::Error {
+                id: Some(req_id),
+                code: ErrorCode::BadField,
+                msg: format!(
+                    "patterns is {}; this server runs at most {MAX_PATTERNS}",
+                    options.patterns
                 ),
             });
         }

@@ -2,16 +2,20 @@
 //! every malformed line with a *typed* error response and keep serving —
 //! never panic, never wedge the connection, never kill a worker.
 //!
-//! Each property drives random garbage through a real in-process server
-//! (real scheduler, real workers, real framing) and then proves
+//! Each server property drives random garbage through a real in-process
+//! server (real scheduler, real workers, real framing) and then proves
 //! liveness by round-tripping a `ping` on the same connection. Every
 //! receive carries a timeout, so a hang is a test failure, not a stuck
-//! CI job.
+//! CI job. The codec properties call `obs::json`, the flat-JSON codec
+//! the wire and the trace lines share, directly.
 
 use std::time::Duration;
 
 use atpg_easy_circuits::suite;
 use atpg_easy_netlist::parser::bench;
+use atpg_easy_obs::json::{self, push_bool, push_num, push_str};
+use atpg_easy_obs::{parse_jsonl_line, Counters, InstanceTrace, TraceLine};
+use atpg_easy_serve::proto::MAX_PATTERNS;
 use atpg_easy_serve::{
     CampaignOptions, ErrorCode, PipeClient, Request, Response, ServeConfig, Server, Submission,
 };
@@ -157,6 +161,39 @@ proptest! {
         prop_assert_eq!(server.stats().active, 0);
     }
 
+    /// A `patterns` count beyond the cap, from one past it to huge, is
+    /// refused with `bad_field`, scoped to the request id, before
+    /// admission: the random phase runs while a campaign is built, before
+    /// any deadline or cancel check.
+    #[test]
+    fn excessive_patterns_are_refused(
+        patterns in (0u64..4, (MAX_PATTERNS + 1)..u64::MAX)
+            .prop_map(|(edge, huge)| if edge < 2 { MAX_PATTERNS + 1 + edge } else { huge }),
+    ) {
+        let server = small_server();
+        let mut c = client(&server);
+        c.send(&Request::Campaign {
+            id: "many".into(),
+            netlist: c17_text(),
+            options: CampaignOptions {
+                patterns,
+                deadline_ms: Some(200),
+                ..CampaignOptions::default()
+            },
+        })
+        .unwrap();
+        let r = c.recv().unwrap();
+        prop_assert!(
+            matches!(
+                &r,
+                Response::Error { id: Some(id), code: ErrorCode::BadField, .. } if id == "many"
+            ),
+            "expected a bad_field error for `many`, got {r:?}"
+        );
+        c.ping().unwrap();
+        prop_assert_eq!(server.stats().admitted, 0);
+    }
+
     /// A line beyond the byte cap answers `line_too_long` and the framer
     /// resynchronizes at the next newline: the next request still works.
     #[test]
@@ -207,6 +244,104 @@ proptest! {
             panic!("chunked campaign must complete, got {sub:?}");
         };
         prop_assert_eq!(outcome.verdicts.len() as u64, outcome.faults);
+    }
+}
+
+/// Strings mixing control characters, ASCII (quotes and backslashes
+/// included), the BMP and non-BMP planes. The vendored proptest has no
+/// string strategy, so two low bits of each `u32` pick the range.
+fn text() -> impl Strategy<Value = String> {
+    prop::collection::vec(any::<u32>(), 0..40).prop_map(|xs| {
+        xs.into_iter()
+            .filter_map(|x| {
+                let v = x >> 2;
+                char::from_u32(match x & 3 {
+                    0 => v % 0x20,
+                    1 => v % 0x80,
+                    2 => v % 0x1_0000,
+                    _ => v % 0x11_0000,
+                })
+            })
+            .collect()
+    })
+}
+
+/// Bytes that are mostly JSON punctuation, escape letters and digits,
+/// so the scanner gets past the first byte; bytes from 0x80 up stay raw
+/// and become U+FFFD or multi-byte text under the lossy conversion.
+fn jsonish_bytes() -> impl Strategy<Value = Vec<u8>> {
+    const ALPHABET: &[u8] = b"{}[]\":,\\/ubfnrtael0123456789dD8. \t\n-";
+    prop::collection::vec(any::<u8>(), 0..120).prop_map(|bytes| {
+        bytes
+            .into_iter()
+            .map(|b| {
+                if b < 0x80 {
+                    ALPHABET[usize::from(b) % ALPHABET.len()]
+                } else {
+                    b
+                }
+            })
+            .collect()
+    })
+}
+
+/// A line holding one `type` field, then whatever `fill` appends.
+fn object(fill: impl FnOnce(&mut String)) -> String {
+    let mut line = String::from("{\"type\":\"t\"");
+    fill(&mut line);
+    line.push('}');
+    line
+}
+
+proptest! {
+    /// Any string the string appender writes scans back equal.
+    #[test]
+    fn appended_strings_scan_back_equal(s in text()) {
+        let line = object(|l| push_str(l, "s", &s));
+        let fields = json::parse_flat_object(&line).expect("the writer's output scans");
+        prop_assert_eq!(fields.req::<String>("s").expect("a string"), s);
+    }
+
+    /// Any `u64` and any `bool` round-trip.
+    #[test]
+    fn integers_and_booleans_round_trip(n in any::<u64>(), b in any::<bool>()) {
+        let line = object(|l| {
+            push_num(l, "n", n);
+            push_bool(l, "b", b);
+        });
+        let fields = json::parse_flat_object(&line).expect("the writer's output scans");
+        prop_assert_eq!(fields.req::<u64>("n"), Ok(n));
+        prop_assert_eq!(fields.req::<bool>("b"), Ok(b));
+    }
+
+    /// Arbitrary text scans to `Ok` or `Err`, never a panic.
+    #[test]
+    fn arbitrary_text_never_panics_the_scanner(bytes in jsonish_bytes()) {
+        let line = String::from_utf8_lossy(&bytes);
+        let _ = json::parse_flat_object(&line);
+    }
+
+    /// An instance trace with arbitrary names round-trips through its
+    /// JSONL line.
+    #[test]
+    fn instance_traces_round_trip(circuit in text(), fault in text(), seq in any::<u64>()) {
+        let t = InstanceTrace {
+            seq,
+            circuit,
+            fault,
+            vars: 11,
+            clauses: 24,
+            sub_size: 9,
+            outcome: "SAT".into(),
+            wall_ns: 120_500,
+            worker: 3,
+            proof_bytes: 0,
+            counters: Counters::default(),
+        };
+        match parse_jsonl_line(&t.to_jsonl()) {
+            Ok(TraceLine::Instance(back)) => prop_assert_eq!(back, t),
+            other => panic!("{other:?}"),
+        }
     }
 }
 
