@@ -796,6 +796,12 @@ mod tests {
 /// vector is kept only if it detects a fault no already-kept vector
 /// detects. Returns the kept vectors, oldest-first.
 ///
+/// Each vector is simulated alone on one 64-pattern word
+/// ([`FaultSimulator::detect_batch_with`]): the 63 lanes past it simulate
+/// the all-zero input vector, and what that vector detects counts. Every
+/// fault the all-zero vector detects is credited to the newest vector, so
+/// the kept set need not detect it.
+///
 /// # Panics
 ///
 /// Panics if a vector has the wrong width or the netlist is cyclic.

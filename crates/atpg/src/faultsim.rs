@@ -1,43 +1,49 @@
 //! Parallel-pattern fault simulation.
 //!
-//! Simulates 64 input vectors at once (one per bit lane) against the good
-//! circuit and, per fault, against the faulted circuit, reporting which
-//! lanes detect the fault. ATPG tools use this for *fault dropping*: every
-//! generated test is simulated against all remaining faults so each SAT
-//! call typically retires many faults (TEGUS does exactly this).
+//! Simulates a word of input vectors at once (one per bit) against the
+//! good circuit and, per fault, against the faulted circuit, reporting
+//! which patterns detect the fault. ATPG tools use this for *fault
+//! dropping*: every generated test is simulated against all remaining
+//! faults so each SAT call typically retires many faults (TEGUS does
+//! exactly this).
 //!
-//! Two widths are available: the classic 64-pattern word path
-//! ([`FaultSimulator::detect_batch`]) and the 256-pattern block path
-//! ([`FaultSimulator::detect_batch_wide`]), which packs [`LANES`] lanes
-//! of 64 patterns per net so random-pattern fault dropping costs one
-//! cone resimulation per 256 patterns. Both have `_with` variants that
-//! reuse caller-owned [`SimBuffers`], eliminating per-call allocation on
-//! the campaign hot path.
+//! Every layer is one implementation generic over the word ([`Lanes`]);
+//! the caller's batch size picks the width. A single SAT vector rides a
+//! `u64` ([`FaultSimulator::detect_batch_with`], up to 64 vectors), a
+//! random-phase batch a [`PatternBlock`]
+//! ([`FaultSimulator::detect_batch_wide`], up to [`WIDE_PATTERNS`]), so
+//! random-pattern fault dropping costs one cone resimulation per 256
+//! patterns. Both reuse caller-owned [`SimBuffers`], eliminating
+//! per-call allocation on the campaign hot path.
 
 use atpg_easy_netlist::{
-    sim::{splat_block, PatternBlock, Simulator, LANES},
+    sim::{Lanes, PatternBlock, Simulator},
     NetId, Netlist,
 };
 
 use crate::Fault;
 
-/// Patterns per wide batch: [`LANES`] lanes of 64.
-pub const WIDE_PATTERNS: usize = 64 * LANES;
+/// Patterns per wide batch: one [`PatternBlock`].
+pub const WIDE_PATTERNS: usize = PatternBlock::PATTERNS;
 
 /// Reusable scratch state for repeated detect calls. One instance per
 /// campaign (or per parallel worker) amortizes every per-net buffer the
-/// simulator needs — packed input words/blocks, good values, and the
-/// faulty-resimulation scratch — across all (test batch, fault list)
-/// pairs. A fresh default instance is equivalent but allocates on first
-/// use.
+/// simulator needs — packed inputs, good values, and the
+/// faulty-resimulation scratch, one set per width — across all (test
+/// batch, fault list) pairs. A fresh default instance is equivalent but
+/// allocates on first use.
 #[derive(Debug, Clone, Default)]
 pub struct SimBuffers {
-    words: Vec<u64>,
-    good: Vec<u64>,
-    scratch: Vec<u64>,
-    blocks: Vec<PatternBlock>,
-    good_blocks: Vec<PatternBlock>,
-    scratch_blocks: Vec<PatternBlock>,
+    words: LaneBuffers<u64>,
+    blocks: LaneBuffers<PatternBlock>,
+}
+
+/// The per-net buffers of one width.
+#[derive(Debug, Clone, Default)]
+struct LaneBuffers<W> {
+    inputs: Vec<W>,
+    good: Vec<W>,
+    scratch: Vec<W>,
 }
 
 /// Per-net fan-out cones, flattened into one arena.
@@ -143,56 +149,51 @@ impl FaultSimulator {
         self.cones.is_some()
     }
 
-    /// Good-circuit net values for 64 parallel patterns.
-    pub fn good_values(&self, nl: &Netlist, input_words: &[u64]) -> Vec<u64> {
-        self.sim.run(nl, input_words)
+    /// Good-circuit net values for [`Lanes::PATTERNS`] parallel patterns.
+    pub fn good_values<W: Lanes>(&self, nl: &Netlist, inputs: &[W]) -> Vec<W> {
+        self.sim.run(nl, inputs)
     }
 
-    /// Bitmask of lanes (patterns) in which `fault` is detected, given the
-    /// precomputed good values for the same `input_words`.
+    /// Bitmask of patterns in which `fault` is detected, given the
+    /// precomputed good values for the same `inputs`.
     ///
     /// Dispatches to the cone-limited path when the simulator was built
     /// with [`Self::with_cones`]; otherwise resimulates the whole circuit.
     /// `scratch` must equal `good` on entry and is restored on return (it
     /// is only used by the cone path).
-    pub fn detect_mask(
+    pub fn detect_mask<W: Lanes>(
         &self,
         nl: &Netlist,
-        input_words: &[u64],
-        good: &[u64],
-        scratch: &mut [u64],
+        inputs: &[W],
+        good: &[W],
+        scratch: &mut [W],
         fault: Fault,
-    ) -> u64 {
+    ) -> W {
         match &self.cones {
             Some(_) => self.detect_mask_cone(nl, good, scratch, fault),
-            None => self.detect_mask_full(nl, input_words, good, fault),
+            None => self.detect_mask_full(nl, inputs, good, fault),
         }
     }
 
     /// Whole-circuit reference path: resimulates every gate with the fault
     /// net forced. Kept alongside the cone path as the equivalence oracle.
-    pub fn detect_mask_full(
+    pub fn detect_mask_full<W: Lanes>(
         &self,
         nl: &Netlist,
-        input_words: &[u64],
-        good: &[u64],
+        inputs: &[W],
+        good: &[W],
         fault: Fault,
-    ) -> u64 {
-        // Cheap excitation pre-check: lanes where the good value of the
+    ) -> W {
+        let stuck = stuck_word(fault);
+        // Cheap excitation pre-check: patterns where the good value of the
         // fault net already equals the stuck value can never detect.
-        let stuck_word = if fault.stuck { !0u64 } else { 0 };
-        let excitable = good[fault.net.index()] ^ stuck_word;
-        if excitable == 0 {
-            return 0;
+        if good[fault.net.index()] == stuck {
+            return W::ZERO;
         }
-        let bad = self
-            .sim
-            .run_with_forced(nl, input_words, fault.net, stuck_word);
-        let mut mask = 0u64;
-        for &o in nl.outputs() {
-            mask |= good[o.index()] ^ bad[o.index()];
-        }
-        mask
+        let bad = self.sim.run_with_forced(nl, inputs, fault.net, stuck);
+        nl.outputs().iter().fold(W::ZERO, |mask, &o| {
+            mask.or(good[o.index()].xor(bad[o.index()]))
+        })
     }
 
     /// Cone-limited path: re-evaluates only the fault net's fan-out cone.
@@ -202,35 +203,31 @@ impl FaultSimulator {
     /// # Panics
     ///
     /// Panics if the simulator was not built with [`Self::with_cones`].
-    pub fn detect_mask_cone(
+    pub fn detect_mask_cone<W: Lanes>(
         &self,
         nl: &Netlist,
-        good: &[u64],
-        scratch: &mut [u64],
+        good: &[W],
+        scratch: &mut [W],
         fault: Fault,
-    ) -> u64 {
+    ) -> W {
         let cones = self
             .cones
             .as_ref()
             .expect("detect_mask_cone requires FaultSimulator::with_cones");
-        let stuck_word = if fault.stuck { !0u64 } else { 0 };
-        if good[fault.net.index()] ^ stuck_word == 0 {
-            return 0;
+        let stuck = stuck_word(fault);
+        if good[fault.net.index()] == stuck {
+            return W::ZERO;
         }
-        self.sim.resim_cone_forced(
-            nl,
-            good,
-            scratch,
-            fault.net,
-            stuck_word,
-            cones.cone(fault.net),
-        )
+        self.sim
+            .resim_cone_forced(nl, good, scratch, fault.net, stuck, cones.cone(fault.net))
     }
 
     /// Simulates one batch of up to 64 vectors against a fault list,
-    /// returning (per fault) whether it is detected by any lane.
+    /// returning (per fault) whether it is detected by any pattern.
     ///
-    /// `vectors` holds one `Vec<bool>` per pattern (at most 64).
+    /// `vectors` holds one `Vec<bool>` per pattern (at most 64). Patterns
+    /// past the last vector simulate the all-zero input vector, and what
+    /// it detects counts as detected.
     ///
     /// # Panics
     ///
@@ -243,7 +240,9 @@ impl FaultSimulator {
     /// [`Self::detect_batch`] with caller-owned scratch: every per-net
     /// buffer comes from `bufs`, so a loop that reuses one [`SimBuffers`]
     /// across batches performs no per-call allocation. Results are
-    /// identical to [`Self::detect_batch`].
+    /// identical to [`Self::detect_batch`]. The batch rides one `u64`
+    /// word per net: patterns past the last vector simulate the all-zero
+    /// input vector, and what it detects counts as detected.
     ///
     /// # Panics
     ///
@@ -255,24 +254,17 @@ impl FaultSimulator {
         faults: &[Fault],
         bufs: &mut SimBuffers,
     ) -> Vec<bool> {
-        assert!(vectors.len() <= 64, "at most 64 vectors per batch");
-        pack_vectors_into(nl, vectors, &mut bufs.words);
-        self.sim.run_into(nl, &bufs.words, &mut bufs.good);
-        bufs.scratch.clear();
-        bufs.scratch.extend_from_slice(&bufs.good);
-        let (words, good, scratch) = (&bufs.words, &bufs.good, &mut bufs.scratch);
-        faults
-            .iter()
-            .map(|&f| self.detect_mask(nl, words, good, scratch, f) != 0)
-            .collect()
+        self.detect_batch_in(nl, vectors, faults, &mut bufs.words)
     }
 
     /// Simulates one batch of up to [`WIDE_PATTERNS`] (256) vectors
     /// against a fault list in a **single** block-parallel pass,
     /// returning (per fault) whether any pattern detects it. With
     /// precomputed cones ([`Self::with_cones`]) each fault costs one
-    /// cone resimulation for all 256 patterns; without cones the batch
-    /// falls back to 64-wide whole-circuit sweeps (the reference path).
+    /// cone resimulation for all 256 patterns; without cones, one
+    /// whole-circuit sweep (the reference path). Patterns past the last
+    /// vector simulate the all-zero input vector, and what it detects
+    /// counts as detected.
     ///
     /// # Panics
     ///
@@ -285,96 +277,48 @@ impl FaultSimulator {
         faults: &[Fault],
         bufs: &mut SimBuffers,
     ) -> Vec<bool> {
-        assert!(
-            vectors.len() <= WIDE_PATTERNS,
-            "at most {WIDE_PATTERNS} vectors per wide batch"
-        );
-        if self.cones.is_none() {
-            // Reference path: no cones to amortize, chunk by word width.
-            let mut out = vec![false; faults.len()];
-            for chunk in vectors.chunks(64) {
-                for (i, d) in self
-                    .detect_batch_with(nl, chunk, faults, bufs)
-                    .into_iter()
-                    .enumerate()
-                {
-                    out[i] |= d;
-                }
-            }
-            return out;
-        }
-        pack_blocks_into(nl, vectors, &mut bufs.blocks);
-        self.sim
-            .run_block_into(nl, &bufs.blocks, &mut bufs.good_blocks);
-        bufs.scratch_blocks.clear();
-        bufs.scratch_blocks.extend_from_slice(&bufs.good_blocks);
-        let (good, scratch) = (&bufs.good_blocks, &mut bufs.scratch_blocks);
-        faults
-            .iter()
-            .map(|&f| self.detect_block_cone(nl, good, scratch, f) != [0; LANES])
-            .collect()
+        self.detect_batch_in(nl, vectors, faults, &mut bufs.blocks)
     }
 
-    /// Cone-limited 256-wide detection block for one fault: lane `l` bit
-    /// `p` is set iff pattern `64 * l + p` detects the fault. `good` /
-    /// `scratch` hold one [`PatternBlock`] per net with `scratch` equal
-    /// to `good` on entry (restored on return).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulator was not built with [`Self::with_cones`].
-    pub fn detect_block_cone(
+    /// The one batch body behind both widths: pack, simulate the good
+    /// circuit once, then one detection word per fault.
+    fn detect_batch_in<W: Lanes>(
         &self,
         nl: &Netlist,
-        good: &[PatternBlock],
-        scratch: &mut [PatternBlock],
-        fault: Fault,
-    ) -> PatternBlock {
-        let cones = self
-            .cones
-            .as_ref()
-            .expect("detect_block_cone requires FaultSimulator::with_cones");
-        let stuck_word = if fault.stuck { !0u64 } else { 0 };
-        // Excitation pre-check, lane-wise: patterns where the good value
-        // already equals the stuck value can never detect.
-        let g = &good[fault.net.index()];
-        if g.iter().all(|&w| w ^ stuck_word == 0) {
-            return [0; LANES];
-        }
-        self.sim.resim_cone_forced_block(
-            nl,
-            good,
-            scratch,
-            fault.net,
-            splat_block(stuck_word),
-            cones.cone(fault.net),
-        )
-    }
-
-    /// Like [`Self::detect_batch`] but returning the full 64-bit detection
-    /// word per fault (bit `p` set iff pattern `p` detects the fault).
-    /// Campaign engines use the words to credit detections to individual
-    /// test vectors.
-    pub fn detect_words(&self, nl: &Netlist, vectors: &[Vec<bool>], faults: &[Fault]) -> Vec<u64> {
-        assert!(vectors.len() <= 64, "at most 64 vectors per batch");
-        let words = pack_vectors(nl, vectors);
-        let good = self.good_values(nl, &words);
-        let mut scratch = good.clone();
+        vectors: &[Vec<bool>],
+        faults: &[Fault],
+        bufs: &mut LaneBuffers<W>,
+    ) -> Vec<bool> {
+        pack_vectors_into(nl, vectors, &mut bufs.inputs);
+        self.sim.run_into(nl, &bufs.inputs, &mut bufs.good);
+        bufs.scratch.clear();
+        bufs.scratch.extend_from_slice(&bufs.good);
+        let (inputs, good, scratch) = (&bufs.inputs, &bufs.good, &mut bufs.scratch);
         faults
             .iter()
-            .map(|&f| self.detect_mask(nl, &words, &good, &mut scratch, f))
+            .map(|&f| self.detect_mask(nl, inputs, good, scratch, f) != W::ZERO)
             .collect()
     }
 }
 
-/// Packs up to 64 input vectors into one word per primary input (pattern
-/// `p` occupies bit `p`).
+/// The word a stuck-at fault forces onto its net in every pattern.
+fn stuck_word<W: Lanes>(fault: Fault) -> W {
+    if fault.stuck {
+        W::ONES
+    } else {
+        W::ZERO
+    }
+}
+
+/// Packs up to [`Lanes::PATTERNS`] input vectors into one word per
+/// primary input: pattern `p` occupies bit `p` (for a [`PatternBlock`],
+/// lane `p / 64`, bit `p % 64`).
 ///
 /// # Panics
 ///
-/// Panics if a vector's width differs from the input count or more than 64
-/// vectors are given.
-pub fn pack_vectors(nl: &Netlist, vectors: &[Vec<bool>]) -> Vec<u64> {
+/// Panics if a vector's width differs from the input count or more than
+/// [`Lanes::PATTERNS`] vectors are given.
+pub fn pack_vectors<W: Lanes>(nl: &Netlist, vectors: &[Vec<bool>]) -> Vec<W> {
     let mut words = Vec::new();
     pack_vectors_into(nl, vectors, &mut words);
     words
@@ -386,54 +330,20 @@ pub fn pack_vectors(nl: &Netlist, vectors: &[Vec<bool>]) -> Vec<u64> {
 /// # Panics
 ///
 /// Same conditions as [`pack_vectors`].
-pub fn pack_vectors_into(nl: &Netlist, vectors: &[Vec<bool>], words: &mut Vec<u64>) {
-    assert!(vectors.len() <= 64, "at most 64 vectors per batch");
-    let n = nl.num_inputs();
-    words.clear();
-    words.resize(n, 0);
-    for (p, v) in vectors.iter().enumerate() {
-        assert_eq!(v.len(), n, "vector width mismatch");
-        for (i, &bit) in v.iter().enumerate() {
-            if bit {
-                words[i] |= 1 << p;
-            }
-        }
-    }
-}
-
-/// Packs up to [`WIDE_PATTERNS`] input vectors into one [`PatternBlock`]
-/// per primary input: pattern `q` occupies lane `q / 64`, bit `q % 64`.
-///
-/// # Panics
-///
-/// Panics if a vector's width differs from the input count or more than
-/// [`WIDE_PATTERNS`] vectors are given.
-pub fn pack_blocks(nl: &Netlist, vectors: &[Vec<bool>]) -> Vec<PatternBlock> {
-    let mut blocks = Vec::new();
-    pack_blocks_into(nl, vectors, &mut blocks);
-    blocks
-}
-
-/// [`pack_blocks`] into a caller-owned buffer (resized as needed,
-/// previous contents overwritten).
-///
-/// # Panics
-///
-/// Same conditions as [`pack_blocks`].
-pub fn pack_blocks_into(nl: &Netlist, vectors: &[Vec<bool>], blocks: &mut Vec<PatternBlock>) {
+pub fn pack_vectors_into<W: Lanes>(nl: &Netlist, vectors: &[Vec<bool>], words: &mut Vec<W>) {
     assert!(
-        vectors.len() <= WIDE_PATTERNS,
-        "at most {WIDE_PATTERNS} vectors per wide batch"
+        vectors.len() <= W::PATTERNS,
+        "at most {} vectors per batch",
+        W::PATTERNS
     );
     let n = nl.num_inputs();
-    blocks.clear();
-    blocks.resize(n, [0; LANES]);
-    for (q, v) in vectors.iter().enumerate() {
+    words.clear();
+    words.resize(n, W::ZERO);
+    for (p, v) in vectors.iter().enumerate() {
         assert_eq!(v.len(), n, "vector width mismatch");
-        let (lane, bit) = (q / 64, q % 64);
-        for (i, &b) in v.iter().enumerate() {
-            if b {
-                blocks[i][lane] |= 1 << bit;
+        for (w, &bit) in words.iter_mut().zip(v) {
+            if bit {
+                w.set(p);
             }
         }
     }
@@ -464,7 +374,7 @@ mod tests {
         let vectors: Vec<Vec<bool>> = (0..8u32)
             .map(|m| (0..3).map(|i| m >> i & 1 != 0).collect())
             .collect();
-        let words = pack_vectors(&nl, &vectors);
+        let words: Vec<u64> = pack_vectors(&nl, &vectors);
         let good = fs.good_values(&nl, &words);
         let mut scratch = good.clone();
         for fault in all_faults(&nl) {
@@ -490,7 +400,7 @@ mod tests {
         let vectors: Vec<Vec<bool>> = (0..8u32)
             .map(|m| (0..3).map(|i| m >> i & 1 != 0).collect())
             .collect();
-        let words = pack_vectors(&nl, &vectors);
+        let words: Vec<u64> = pack_vectors(&nl, &vectors);
         let good = fast.good_values(&nl, &words);
         let mut scratch = good.clone();
         for fault in all_faults(&nl) {
@@ -506,21 +416,6 @@ mod tests {
                 "scratch restored after {}",
                 fault.describe(&nl)
             );
-        }
-    }
-
-    #[test]
-    fn detect_words_credit_individual_patterns() {
-        let nl = xor_chain();
-        let fs = FaultSimulator::with_cones(&nl);
-        let vectors: Vec<Vec<bool>> = (0..8u32)
-            .map(|m| (0..3).map(|i| m >> i & 1 != 0).collect())
-            .collect();
-        let faults = all_faults(&nl);
-        let words = fs.detect_words(&nl, &vectors, &faults);
-        let det = fs.detect_batch(&nl, &vectors, &faults);
-        for (w, d) in words.iter().zip(&det) {
-            assert_eq!(*w != 0, *d, "word and batch flag agree");
         }
     }
 
@@ -582,10 +477,10 @@ mod tests {
             }
         }
         assert_eq!(wide, narrow, "256-wide and 4x64-wide dropping agree");
-        // The no-cone reference path agrees too.
+        // The no-cone whole-circuit reference path agrees too.
         let slow = FaultSimulator::new(&nl);
-        let fallback = slow.detect_batch_wide(&nl, &vectors, &faults, &mut bufs);
-        assert_eq!(wide, fallback);
+        let reference = slow.detect_batch_wide(&nl, &vectors, &faults, &mut bufs);
+        assert_eq!(wide, reference);
     }
 
     #[test]
@@ -598,21 +493,21 @@ mod tests {
             .collect();
         let mut bufs = SimBuffers::default();
         let first = fs.detect_batch_with(&nl, &vectors, &faults, &mut bufs);
-        let good_ptr = bufs.good.as_ptr();
+        let good_ptr = bufs.words.good.as_ptr();
         let second = fs.detect_batch_with(&nl, &vectors, &faults, &mut bufs);
         assert_eq!(first, second);
         assert_eq!(first, fs.detect_batch(&nl, &vectors, &faults));
-        assert_eq!(good_ptr, bufs.good.as_ptr(), "good buffer is reused");
+        assert_eq!(good_ptr, bufs.words.good.as_ptr(), "good buffer is reused");
     }
 
     #[test]
-    fn pack_blocks_places_pattern_q_in_lane_q_div_64() {
+    fn pack_vectors_places_pattern_q_in_lane_q_div_64() {
         let nl = xor_chain();
         let mut vectors = vec![vec![false; 3]; 130];
         vectors[0][1] = true; // pattern 0 → lane 0, bit 0
         vectors[70][2] = true; // pattern 70 → lane 1, bit 6
         vectors[129][0] = true; // pattern 129 → lane 2, bit 1
-        let blocks = pack_blocks(&nl, &vectors);
+        let blocks: Vec<PatternBlock> = pack_vectors(&nl, &vectors);
         assert_eq!(blocks[1][0], 1);
         assert_eq!(blocks[2][1], 1 << 6);
         assert_eq!(blocks[0][2], 1 << 1);

@@ -11,8 +11,9 @@
 //! The `probe_overhead_guard` bench enforces this with min-of-batches
 //! statistics (minima are robust against scheduler noise) and panics if
 //! the monomorphized path exceeds the budget. CI compiles this target
-//! (`cargo bench --no-run`); run `cargo bench --bench probe` to execute
-//! the guard and the comparison groups.
+//! (`cargo bench -p atpg-easy-bench --no-run`); run
+//! `cargo bench -p atpg-easy-bench --bench probe` to execute the guard
+//! and the comparison groups.
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -18,8 +18,9 @@
 //! guard lives in its own bench target — sharing a binary with the probe
 //! guard shifts code layout enough (~3% on the 7µs c17 instance) to
 //! destabilize both 1% assertions. CI compiles this target
-//! (`cargo bench --no-run`); run `cargo bench --bench proof` to execute
-//! the guard and the comparison group.
+//! (`cargo bench -p atpg-easy-bench --no-run`); run
+//! `cargo bench -p atpg-easy-bench --bench proof` to execute the guard
+//! and the comparison group.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -85,7 +86,7 @@ fn median_batch_ratio<A: FnMut(), B: FnMut()>(
     let mut ratios = Vec::with_capacity(batches);
     let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
     for batch in 0..batches {
-        let mut time = |side: &mut dyn FnMut()| {
+        let time = |side: &mut dyn FnMut()| {
             let start = Instant::now();
             for _ in 0..iters {
                 side();

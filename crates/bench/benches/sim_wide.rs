@@ -1,11 +1,13 @@
 //! Criterion bench: 64-wide vs 256-wide bit-parallel simulation.
 //!
-//! Measures patterns/sec for the classic one-word-per-net layout against
-//! the 4-lane [`PatternBlock`] layout, on good-circuit simulation and on
-//! the fault-dropping batch path. Throughput is reported in patterns, so
-//! the two widths are directly comparable: the block layout amortizes
-//! the per-gate dispatch and gather over four lanes and the lane loops
-//! autovectorize, so it should clear 2x the 64-wide patterns/sec.
+//! Measures patterns/sec of the one simulation kernel instantiated on a
+//! `u64` word per net against the 4-lane [`PatternBlock`], on
+//! good-circuit simulation and on the fault-dropping batch path.
+//! Throughput is reported in patterns, so the two widths are directly
+//! comparable: the block layout amortizes the per-gate dispatch and
+//! gather over four lanes and the lane loops autovectorize, so it should
+//! clear 2x the 64-wide patterns/sec. Run with
+//! `cargo bench -p atpg-easy-bench --bench sim_wide`.
 
 use atpg_easy_atpg::fault::all_faults;
 use atpg_easy_atpg::faultsim::{FaultSimulator, SimBuffers, WIDE_PATTERNS};
@@ -55,7 +57,7 @@ fn bench_good_sim_width(c: &mut Criterion) {
         group.throughput(Throughput::Elements(256));
         group.bench_function(format!("{name}_256wide"), |b| {
             b.iter(|| {
-                s.run_block_into(&nl, black_box(&blocks), &mut block_buf);
+                s.run_into(&nl, black_box(&blocks), &mut block_buf);
                 black_box(&block_buf);
             })
         });

@@ -103,7 +103,7 @@ mod tests {
         assert!(nl.validate().is_ok());
         assert_eq!(nl.num_outputs(), 4);
         // All-zero input: every parity 0.
-        let outs = sim::eval_outputs(&nl, &vec![false; 12]);
+        let outs = sim::eval_outputs(&nl, &[false; 12]);
         assert!(outs.iter().all(|&b| !b));
         // One bit set in word 1: par1 and global flip.
         let mut ins = vec![false; 12];

@@ -126,8 +126,11 @@ mod tests {
     fn dangling_net_reports_r001_and_r003() {
         let mut nl = Netlist::new("dangle");
         let a = nl.add_input("a");
-        nl.add_gate_named(GateKind::Not, vec![a], "d").unwrap();
-        let o = nl.add_gate_named(GateKind::Buf, vec![a], "o").unwrap();
+        nl.add_gate_named(GateKind::Not, vec![a], "d")
+            .expect("fresh gate name");
+        let o = nl
+            .add_gate_named(GateKind::Buf, vec![a], "o")
+            .expect("fresh gate name");
         nl.add_output(o);
         let r = lint(&nl);
         assert!(r.has_code(Code::R001));
@@ -140,8 +143,12 @@ mod tests {
     fn tautology_reports_r002() {
         let mut nl = Netlist::new("taut");
         let a = nl.add_input("a");
-        let na = nl.add_gate_named(GateKind::Not, vec![a], "na").unwrap();
-        let y = nl.add_gate_named(GateKind::Or, vec![a, na], "y").unwrap();
+        let na = nl
+            .add_gate_named(GateKind::Not, vec![a], "na")
+            .expect("fresh gate name");
+        let y = nl
+            .add_gate_named(GateKind::Or, vec![a, na], "y")
+            .expect("fresh gate name");
         nl.add_output(y);
         let r = lint(&nl);
         assert!(r.has_code(Code::R002));
@@ -153,7 +160,9 @@ mod tests {
         let mut nl = Netlist::new("clean");
         let a = nl.add_input("a");
         let b = nl.add_input("b");
-        let o = nl.add_gate_named(GateKind::And, vec![a, b], "o").unwrap();
+        let o = nl
+            .add_gate_named(GateKind::And, vec![a, b], "o")
+            .expect("fresh gate name");
         nl.add_output(o);
         let r = lint(&nl);
         assert!(r.is_empty(), "{r}");

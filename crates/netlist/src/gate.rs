@@ -14,14 +14,100 @@ pub const LANES: usize = 4;
 /// `[u64; LANES]` compile to SIMD on every target that has it.
 pub type PatternBlock = [u64; LANES];
 
-/// The all-zeros [`PatternBlock`] (every pattern reads logic 0).
-pub const ZERO_BLOCK: PatternBlock = [0; LANES];
+/// A word of bit-parallel simulation patterns: every bit is one pattern,
+/// and bits never interact, so one gate evaluation over a word evaluates
+/// [`Lanes::PATTERNS`] input vectors at once.
+///
+/// Implemented for `u64` (64 patterns) and [`PatternBlock`] (256). The
+/// simulation stack is written once over this trait; the caller's batch
+/// size picks the width.
+pub trait Lanes: Copy + PartialEq + fmt::Debug {
+    /// Patterns per word.
+    const PATTERNS: usize;
+    /// Every pattern at logic 0.
+    const ZERO: Self;
+    /// Every pattern at logic 1.
+    const ONES: Self;
+    /// Pattern-wise AND.
+    fn and(self, other: Self) -> Self;
+    /// Pattern-wise OR.
+    fn or(self, other: Self) -> Self;
+    /// Pattern-wise XOR.
+    fn xor(self, other: Self) -> Self;
+    /// Pattern-wise complement.
+    fn not(self) -> Self;
+    /// Sets pattern `p` (`p < Self::PATTERNS`) to logic 1.
+    fn set(&mut self, p: usize);
+}
 
-/// Broadcasts one 64-bit word into every lane of a [`PatternBlock`]
-/// (useful for forcing a stuck-at value across all 256 patterns:
-/// `splat_block(0)` for s-a-0, `splat_block(!0)` for s-a-1).
-pub const fn splat_block(word: u64) -> PatternBlock {
-    [word; LANES]
+// Every method of both impls is `#[inline]`: the generic simulation code
+// is instantiated in dependent crates, which inline a non-generic
+// method from this crate only when it is marked.
+impl Lanes for u64 {
+    const PATTERNS: usize = 64;
+    const ZERO: Self = 0;
+    const ONES: Self = !0;
+    #[inline]
+    fn and(self, other: Self) -> Self {
+        self & other
+    }
+    #[inline]
+    fn or(self, other: Self) -> Self {
+        self | other
+    }
+    #[inline]
+    fn xor(self, other: Self) -> Self {
+        self ^ other
+    }
+    #[inline]
+    fn not(self) -> Self {
+        !self
+    }
+    #[inline]
+    fn set(&mut self, p: usize) {
+        *self |= 1 << p;
+    }
+}
+
+/// Lane `l` of a block is an independent `u64` word; the loops are
+/// straight-line lane-wise bit logic the compiler autovectorizes (one
+/// 256-bit op on AVX2, two 128-bit ops on SSE2).
+impl Lanes for PatternBlock {
+    const PATTERNS: usize = 64 * LANES;
+    const ZERO: Self = [0; LANES];
+    const ONES: Self = [!0; LANES];
+    #[inline]
+    fn and(mut self, other: Self) -> Self {
+        for (a, b) in self.iter_mut().zip(other) {
+            *a &= b;
+        }
+        self
+    }
+    #[inline]
+    fn or(mut self, other: Self) -> Self {
+        for (a, b) in self.iter_mut().zip(other) {
+            *a |= b;
+        }
+        self
+    }
+    #[inline]
+    fn xor(mut self, other: Self) -> Self {
+        for (a, b) in self.iter_mut().zip(other) {
+            *a ^= b;
+        }
+        self
+    }
+    #[inline]
+    fn not(mut self) -> Self {
+        for a in &mut self {
+            *a = !*a;
+        }
+        self
+    }
+    #[inline]
+    fn set(&mut self, p: usize) {
+        self[p / 64] |= 1 << (p % 64);
+    }
 }
 
 /// The logic function computed by a [`Gate`].
@@ -86,66 +172,30 @@ impl GateKind {
         n >= lo && n <= hi
     }
 
-    /// Evaluates the gate function over 64-bit-parallel input words.
-    ///
-    /// Each bit position is an independent simulation pattern.
-    pub fn eval_words(self, inputs: &[u64]) -> u64 {
+    /// Evaluates the gate function over bit-parallel input words: bit
+    /// `p` of the result is the gate's output under pattern `p`.
+    pub fn eval<W: Lanes>(self, inputs: &[W]) -> W {
+        let and = || inputs.iter().fold(W::ONES, |acc, &w| acc.and(w));
+        let or = || inputs.iter().fold(W::ZERO, |acc, &w| acc.or(w));
+        let xor = || inputs.iter().fold(W::ZERO, |acc, &w| acc.xor(w));
         match self {
-            GateKind::And => inputs.iter().fold(!0u64, |acc, &w| acc & w),
-            GateKind::Or => inputs.iter().fold(0u64, |acc, &w| acc | w),
-            GateKind::Nand => !inputs.iter().fold(!0u64, |acc, &w| acc & w),
-            GateKind::Nor => !inputs.iter().fold(0u64, |acc, &w| acc | w),
-            GateKind::Xor => inputs.iter().fold(0u64, |acc, &w| acc ^ w),
-            GateKind::Xnor => !inputs.iter().fold(0u64, |acc, &w| acc ^ w),
-            GateKind::Not => !inputs[0],
+            GateKind::And => and(),
+            GateKind::Or => or(),
+            GateKind::Nand => and().not(),
+            GateKind::Nor => or().not(),
+            GateKind::Xor => xor(),
+            GateKind::Xnor => xor().not(),
+            GateKind::Not => inputs[0].not(),
             GateKind::Buf => inputs[0],
-            GateKind::Const0 => 0,
-            GateKind::Const1 => !0,
-        }
-    }
-
-    /// Evaluates the gate function over [`PatternBlock`]s — 256
-    /// bit-parallel patterns per call instead of [`Self::eval_words`]'s
-    /// 64. Lane `l` bit `p` of every block belongs to pattern
-    /// `64 * l + p`; lanes never interact, so the whole body is
-    /// straight-line lane-wise bit logic the compiler autovectorizes
-    /// (one 256-bit op per gate input on AVX2, two 128-bit ops on SSE2).
-    pub fn eval_blocks(self, inputs: &[PatternBlock]) -> PatternBlock {
-        #[inline]
-        fn fold(inputs: &[PatternBlock], init: u64, f: impl Fn(u64, u64) -> u64) -> PatternBlock {
-            let mut acc = [init; LANES];
-            for w in inputs {
-                for l in 0..LANES {
-                    acc[l] = f(acc[l], w[l]);
-                }
-            }
-            acc
-        }
-        #[inline]
-        fn not(mut b: PatternBlock) -> PatternBlock {
-            for l in &mut b {
-                *l = !*l;
-            }
-            b
-        }
-        match self {
-            GateKind::And => fold(inputs, !0, |a, w| a & w),
-            GateKind::Or => fold(inputs, 0, |a, w| a | w),
-            GateKind::Nand => not(fold(inputs, !0, |a, w| a & w)),
-            GateKind::Nor => not(fold(inputs, 0, |a, w| a | w)),
-            GateKind::Xor => fold(inputs, 0, |a, w| a ^ w),
-            GateKind::Xnor => not(fold(inputs, 0, |a, w| a ^ w)),
-            GateKind::Not => not(inputs[0]),
-            GateKind::Buf => inputs[0],
-            GateKind::Const0 => [0; LANES],
-            GateKind::Const1 => [!0; LANES],
+            GateKind::Const0 => W::ZERO,
+            GateKind::Const1 => W::ONES,
         }
     }
 
     /// Evaluates the gate function over plain booleans.
     pub fn eval_bool(self, inputs: &[bool]) -> bool {
         let words: Vec<u64> = inputs.iter().map(|&b| if b { !0 } else { 0 }).collect();
-        self.eval_words(&words) & 1 != 0
+        self.eval(&words) & 1 != 0
     }
 
     /// Whether this gate kind is an inverting single-input or constant
@@ -245,7 +295,7 @@ mod tests {
         let a = 0b10101010u64;
         let b = 0b11001100u64;
         let c = 0b11110000u64;
-        let out = GateKind::Xor.eval_words(&[a, b, c]);
+        let out = GateKind::Xor.eval(&[a, b, c]);
         for m in 0..8 {
             let expect =
                 GateKind::Xor.eval_bool(&[a >> m & 1 != 0, b >> m & 1 != 0, c >> m & 1 != 0]);

@@ -11,7 +11,7 @@
 //! - topological analysis: gate ordering, logic levels, transitive fan-in /
 //!   fan-out cones and subcircuit extraction ([`topo`]) — the machinery
 //!   behind the paper's `C_ψ^sub` and `C_ψ^fo` constructions;
-//! - 64-way bit-parallel logic simulation ([`sim`]);
+//! - bit-parallel logic simulation, 64 or 256 patterns per pass ([`sim`]);
 //! - technology decomposition to bounded-fan-in AND/OR/INV networks
 //!   ([`decompose`]), the stand-in for SIS `tech_decomp` that the paper uses
 //!   to pre-process every benchmark (Section 5.2.2);
@@ -54,7 +54,7 @@ pub mod sweep;
 pub mod topo;
 
 pub use error::NetlistError;
-pub use gate::{splat_block, Gate, GateKind, PatternBlock, LANES, ZERO_BLOCK};
+pub use gate::{Gate, GateKind, Lanes, PatternBlock, LANES};
 pub use id::{GateId, NetId};
 pub use netlist::{Net, Netlist};
 pub use stats::CircuitStats;

@@ -1,20 +1,20 @@
 //! Bit-parallel logic simulation.
 //!
-//! Each net carries a 64-bit word; bit `p` of every word belongs to
-//! simulation pattern `p`, so one pass evaluates 64 input vectors at once.
-//! This is the classic parallel-pattern technique ATPG tools (including
-//! TEGUS) use for fault dropping.
+//! Each net carries one word of bit-parallel patterns ([`Lanes`]): bit `p`
+//! of every word belongs to simulation pattern `p`, so one pass evaluates
+//! [`Lanes::PATTERNS`] input vectors at once. This is the classic
+//! parallel-pattern technique ATPG tools (including TEGUS) use for fault
+//! dropping.
 //!
-//! The block-wide entry points ([`Simulator::run_block_into`],
-//! [`Simulator::resim_cone_forced_block`]) widen each net to a
-//! [`PatternBlock`] of [`LANES`] lanes — 256 patterns per pass — in a
-//! SIMD-friendly layout: lanes never interact, so every gate evaluates
-//! as straight-line lane-wise bit logic the compiler vectorizes. The
-//! `_into` variants additionally reuse caller-owned buffers, so a
-//! campaign's fault-dropping hot loop performs no per-call allocation.
+//! Every entry point is generic over the word: `u64` carries 64 patterns
+//! per net, [`PatternBlock`] carries 256 in [`LANES`] lanes that never
+//! interact, so every gate evaluates as straight-line lane-wise bit logic
+//! the compiler vectorizes. The `_into` variant reuses a caller-owned
+//! buffer, so a campaign's fault-dropping hot loop performs no per-call
+//! result allocation.
 
-pub use crate::gate::{splat_block, PatternBlock, LANES, ZERO_BLOCK};
-use crate::{topo, NetId, Netlist};
+pub use crate::gate::{Lanes, PatternBlock, LANES};
+use crate::{topo, GateId, NetId, Netlist};
 
 /// A reusable simulator for one netlist.
 ///
@@ -22,7 +22,7 @@ use crate::{topo, NetId, Netlist};
 /// [`Simulator::run`] is then a linear sweep.
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    order: Vec<crate::GateId>,
+    order: Vec<GateId>,
     num_nets: usize,
 }
 
@@ -40,18 +40,18 @@ impl Simulator {
         }
     }
 
-    /// Evaluates all nets for 64 parallel patterns.
+    /// Evaluates all nets for [`Lanes::PATTERNS`] parallel patterns.
     ///
-    /// `input_words[i]` supplies the word for `nl.inputs()[i]`. Returns one
+    /// `inputs[i]` supplies the word for `nl.inputs()[i]`. Returns one
     /// word per net, indexed by [`NetId::index`].
     ///
     /// # Panics
     ///
-    /// Panics if `input_words.len() != nl.num_inputs()` or the netlist does
+    /// Panics if `inputs.len() != nl.num_inputs()` or the netlist does
     /// not match the one the simulator was built for.
-    pub fn run(&self, nl: &Netlist, input_words: &[u64]) -> Vec<u64> {
+    pub fn run<W: Lanes>(&self, nl: &Netlist, inputs: &[W]) -> Vec<W> {
         let mut values = Vec::new();
-        self.run_into(nl, input_words, &mut values);
+        self.run_into(nl, inputs, &mut values);
         values
     }
 
@@ -64,100 +64,31 @@ impl Simulator {
     /// # Panics
     ///
     /// Same conditions as [`Self::run`].
-    pub fn run_into(&self, nl: &Netlist, input_words: &[u64], values: &mut Vec<u64>) {
-        assert_eq!(input_words.len(), nl.num_inputs(), "one word per input");
-        assert_eq!(nl.num_nets(), self.num_nets, "netlist/simulator mismatch");
-        values.clear();
-        values.resize(self.num_nets, 0);
-        for (i, &net) in nl.inputs().iter().enumerate() {
-            values[net.index()] = input_words[i];
-        }
-        let mut in_buf: Vec<u64> = Vec::with_capacity(8);
-        for &gid in &self.order {
-            let gate = nl.gate(gid);
-            in_buf.clear();
-            in_buf.extend(gate.inputs.iter().map(|&n| values[n.index()]));
-            values[gate.output.index()] = gate.kind.eval_words(&in_buf);
-        }
-    }
-
-    /// Evaluates all nets for 256 parallel patterns (one [`PatternBlock`]
-    /// per net). `input_blocks[i]` supplies the block for
-    /// `nl.inputs()[i]`; lane `l` bit `p` of every block belongs to
-    /// pattern `64 * l + p`.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::run`].
-    pub fn run_block(&self, nl: &Netlist, input_blocks: &[PatternBlock]) -> Vec<PatternBlock> {
-        let mut values = Vec::new();
-        self.run_block_into(nl, input_blocks, &mut values);
-        values
-    }
-
-    /// [`Self::run_block`] into a caller-owned buffer (resized as needed,
-    /// previous contents overwritten) — the 256-wide analogue of
-    /// [`Self::run_into`]. One pass here costs one topological sweep for
-    /// four times the patterns of a 64-wide pass; the per-gate dispatch
-    /// and operand gather are paid once per block instead of once per
-    /// word, and the lane-wise evaluation vectorizes.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::run`].
-    pub fn run_block_into(
-        &self,
-        nl: &Netlist,
-        input_blocks: &[PatternBlock],
-        values: &mut Vec<PatternBlock>,
-    ) {
-        assert_eq!(input_blocks.len(), nl.num_inputs(), "one block per input");
-        assert_eq!(nl.num_nets(), self.num_nets, "netlist/simulator mismatch");
-        values.clear();
-        values.resize(self.num_nets, ZERO_BLOCK);
-        for (i, &net) in nl.inputs().iter().enumerate() {
-            values[net.index()] = input_blocks[i];
-        }
-        let mut in_buf: Vec<PatternBlock> = Vec::with_capacity(8);
-        for &gid in &self.order {
-            let gate = nl.gate(gid);
-            in_buf.clear();
-            in_buf.extend(gate.inputs.iter().map(|&n| values[n.index()]));
-            values[gate.output.index()] = gate.kind.eval_blocks(&in_buf);
-        }
+    pub fn run_into<W: Lanes>(&self, nl: &Netlist, inputs: &[W], values: &mut Vec<W>) {
+        self.sweep(nl, inputs, values, None);
     }
 
     /// The topological gate order this simulator evaluates in.
-    pub fn order(&self) -> &[crate::GateId] {
+    pub fn order(&self) -> &[GateId] {
         &self.order
     }
 
     /// Like [`Self::run`] but forcing net `forced` to the constant word
     /// `forced_value` regardless of its driver — i.e. simulating a stuck-at
-    /// fault (all-zeros word for s-a-0, all-ones for s-a-1).
-    pub fn run_with_forced(
+    /// fault ([`Lanes::ZERO`] for s-a-0, [`Lanes::ONES`] for s-a-1).
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Self::run`].
+    pub fn run_with_forced<W: Lanes>(
         &self,
         nl: &Netlist,
-        input_words: &[u64],
+        inputs: &[W],
         forced: NetId,
-        forced_value: u64,
-    ) -> Vec<u64> {
-        assert_eq!(input_words.len(), nl.num_inputs(), "one word per input");
-        let mut values = vec![0u64; self.num_nets];
-        for (i, &net) in nl.inputs().iter().enumerate() {
-            values[net.index()] = input_words[i];
-        }
-        values[forced.index()] = forced_value;
-        let mut in_buf: Vec<u64> = Vec::with_capacity(8);
-        for &gid in &self.order {
-            let gate = nl.gate(gid);
-            if gate.output == forced {
-                continue; // the fault overrides the driver
-            }
-            in_buf.clear();
-            in_buf.extend(gate.inputs.iter().map(|&n| values[n.index()]));
-            values[gate.output.index()] = gate.kind.eval_words(&in_buf);
-        }
+        forced_value: W,
+    ) -> Vec<W> {
+        let mut values = Vec::new();
+        self.sweep(nl, inputs, &mut values, Some((forced, forced_value)));
         values
     }
 
@@ -180,29 +111,22 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `good` / `scratch` are not sized for this netlist.
-    pub fn resim_cone_forced(
+    pub fn resim_cone_forced<W: Lanes>(
         &self,
         nl: &Netlist,
-        good: &[u64],
-        scratch: &mut [u64],
+        good: &[W],
+        scratch: &mut [W],
         forced: NetId,
-        forced_value: u64,
-        cone: &[crate::GateId],
-    ) -> u64 {
+        forced_value: W,
+        cone: &[GateId],
+    ) -> W {
         assert_eq!(good.len(), self.num_nets, "good values cover every net");
         assert_eq!(scratch.len(), self.num_nets, "scratch covers every net");
         scratch[forced.index()] = forced_value;
-        let mut in_buf: Vec<u64> = Vec::with_capacity(8);
-        for &gid in cone {
-            let gate = nl.gate(gid);
-            in_buf.clear();
-            in_buf.extend(gate.inputs.iter().map(|&n| scratch[n.index()]));
-            scratch[gate.output.index()] = gate.kind.eval_words(&in_buf);
-        }
-        let mut detect = 0u64;
-        for &o in nl.outputs() {
-            detect |= scratch[o.index()] ^ good[o.index()];
-        }
+        eval_gates(nl, cone, scratch, None);
+        let detect = nl.outputs().iter().fold(W::ZERO, |d, &o| {
+            d.or(scratch[o.index()].xor(good[o.index()]))
+        });
         scratch[forced.index()] = good[forced.index()];
         for &gid in cone {
             let out = nl.gate(gid).output;
@@ -211,48 +135,42 @@ impl Simulator {
         detect
     }
 
-    /// [`Self::resim_cone_forced`] over [`PatternBlock`]s: event-driven
-    /// faulty resimulation of 256 patterns in one cone sweep. `good` and
-    /// `scratch` hold one block per net (from [`Self::run_block_into`]),
-    /// `scratch` must equal `good` on entry and is restored before
-    /// returning. Returns the detection block: lane `l` bit `p` is set
-    /// iff pattern `64 * l + p` observes a difference on some primary
-    /// output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `good` / `scratch` are not sized for this netlist.
-    pub fn resim_cone_forced_block(
+    /// One whole-circuit sweep into `values`, with the net of `forced`
+    /// (if any) held at its value instead of its driver's.
+    fn sweep<W: Lanes>(
         &self,
         nl: &Netlist,
-        good: &[PatternBlock],
-        scratch: &mut [PatternBlock],
-        forced: NetId,
-        forced_value: PatternBlock,
-        cone: &[crate::GateId],
-    ) -> PatternBlock {
-        assert_eq!(good.len(), self.num_nets, "good values cover every net");
-        assert_eq!(scratch.len(), self.num_nets, "scratch covers every net");
-        scratch[forced.index()] = forced_value;
-        let mut in_buf: Vec<PatternBlock> = Vec::with_capacity(8);
-        for &gid in cone {
-            let gate = nl.gate(gid);
-            in_buf.clear();
-            in_buf.extend(gate.inputs.iter().map(|&n| scratch[n.index()]));
-            scratch[gate.output.index()] = gate.kind.eval_blocks(&in_buf);
+        inputs: &[W],
+        values: &mut Vec<W>,
+        forced: Option<(NetId, W)>,
+    ) {
+        assert_eq!(inputs.len(), nl.num_inputs(), "one word per input");
+        assert_eq!(nl.num_nets(), self.num_nets, "netlist/simulator mismatch");
+        values.clear();
+        values.resize(self.num_nets, W::ZERO);
+        for (&net, &w) in nl.inputs().iter().zip(inputs) {
+            values[net.index()] = w;
         }
-        let mut detect = ZERO_BLOCK;
-        for &o in nl.outputs() {
-            for l in 0..LANES {
-                detect[l] |= scratch[o.index()][l] ^ good[o.index()][l];
-            }
+        let skip = forced.map(|(net, value)| {
+            values[net.index()] = value;
+            net
+        });
+        eval_gates(nl, &self.order, values, skip);
+    }
+}
+
+/// Evaluates `gates` in order over `values`, leaving the driver of `skip`
+/// unevaluated (the fault overrides it).
+fn eval_gates<W: Lanes>(nl: &Netlist, gates: &[GateId], values: &mut [W], skip: Option<NetId>) {
+    let mut in_buf: Vec<W> = Vec::with_capacity(8);
+    for &gid in gates {
+        let gate = nl.gate(gid);
+        if Some(gate.output) == skip {
+            continue;
         }
-        scratch[forced.index()] = good[forced.index()];
-        for &gid in cone {
-            let out = nl.gate(gid).output;
-            scratch[out.index()] = good[out.index()];
-        }
-        detect
+        in_buf.clear();
+        in_buf.extend(gate.inputs.iter().map(|&n| values[n.index()]));
+        values[gate.output.index()] = gate.kind.eval(&in_buf);
     }
 }
 
@@ -395,7 +313,7 @@ mod tests {
         let sim = Simulator::new(&nl);
         let a: PatternBlock = [0xF0F0, 0xAAAA, 0x1234, !0];
         let b: PatternBlock = [0xCCCC, 0x5555, 0x4321, 0];
-        let blocks = sim.run_block(&nl, &[a, b]);
+        let blocks = sim.run(&nl, &[a, b]);
         for l in 0..LANES {
             let words = sim.run(&nl, &[a[l], b[l]]);
             for (net, &w) in words.iter().enumerate() {
@@ -418,12 +336,16 @@ mod tests {
         let ins: Vec<PatternBlock> = (0..3u64)
             .map(|i| core::array::from_fn(|l| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15 << l)))
             .collect();
-        let good = sim.run_block(&nl, &ins);
+        let good = sim.run(&nl, &ins);
         let mut scratch = good.clone();
         for (net, stuck) in [(y0, false), (b, true), (a, false), (c, true)] {
             let cone = crate::topo::fanout_cone_gates(&nl, sim.order(), net);
-            let forced = splat_block(if stuck { !0 } else { 0 });
-            let det = sim.resim_cone_forced_block(&nl, &good, &mut scratch, net, forced, &cone);
+            let forced = if stuck {
+                PatternBlock::ONES
+            } else {
+                PatternBlock::ZERO
+            };
+            let det = sim.resim_cone_forced(&nl, &good, &mut scratch, net, forced, &cone);
             assert_eq!(scratch, good, "scratch restored");
             for l in 0..LANES {
                 let lane_ins: Vec<u64> = ins.iter().map(|b| b[l]).collect();

@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_keep_the_last() {
-        let f = parse_flat_object("{\"a\":1,\"a\":2}").unwrap();
+        let f = parse_flat_object("{\"a\":1,\"a\":2}").expect("duplicate keys parse");
         assert_eq!(f.req::<u64>("a"), Ok(2));
     }
 
@@ -405,18 +405,24 @@ mod tests {
         let mut s = String::from("{\"type\":\"x\"");
         push_str(&mut s, "k", text);
         s.push('}');
-        assert_eq!(one_str(&s).unwrap(), text);
+        assert_eq!(one_str(&s).expect("escaped string parses"), text);
     }
 
     #[test]
     fn python_escapes_decode() {
         // What `json.dumps` writes for U+1F600, U+0008 and U+000C.
         assert_eq!(
-            one_str(r#"{"k":"job-\ud83d\ude00"}"#).unwrap(),
+            one_str(r#"{"k":"job-\ud83d\ude00"}"#).expect("surrogate pair decodes"),
             "job-\u{1F600}"
         );
-        assert_eq!(one_str(r#"{"k":"a\bb\fc"}"#).unwrap(), "a\u{8}b\u{c}c");
-        assert_eq!(one_str(r#"{"k":"\u00e9\/"}"#).unwrap(), "é/");
+        assert_eq!(
+            one_str(r#"{"k":"a\bb\fc"}"#).expect("short escapes decode"),
+            "a\u{8}b\u{c}c"
+        );
+        assert_eq!(
+            one_str(r#"{"k":"\u00e9\/"}"#).expect("\\u and solidus escapes decode"),
+            "é/"
+        );
     }
 
     #[test]
@@ -480,7 +486,7 @@ mod tests {
             s,
             "{\"type\":\"t\",\"n\":18446744073709551615,\"b\":false,\"s\":\"é\\u001f\"}"
         );
-        let f = parse_flat_object(&s).unwrap();
+        let f = parse_flat_object(&s).expect("appended line parses");
         assert_eq!(f.req::<u64>("n"), Ok(u64::MAX));
         assert_eq!(f.req::<bool>("b"), Ok(false));
     }

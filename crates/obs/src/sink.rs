@@ -316,13 +316,16 @@ mod tests {
     #[test]
     fn jsonl_sink_output_parses_back() {
         let mut sink = JsonlSink::new(Vec::new());
-        sink.campaign(&meta()).unwrap();
-        sink.instance(&trace("c17", 0, 1000, "SAT")).unwrap();
-        sink.instance(&trace("c17", 1, 2000, "UNSAT")).unwrap();
-        sink.finish().unwrap();
+        sink.campaign(&meta())
+            .expect("writing to a Vec cannot fail");
+        sink.instance(&trace("c17", 0, 1000, "SAT"))
+            .expect("writing to a Vec cannot fail");
+        sink.instance(&trace("c17", 1, 2000, "UNSAT"))
+            .expect("writing to a Vec cannot fail");
+        sink.finish().expect("writing to a Vec cannot fail");
         assert_eq!(sink.lines, 3);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines = parse_jsonl(&text).unwrap();
+        let text = String::from_utf8(sink.into_inner()).expect("sink writes UTF-8");
+        let lines = parse_jsonl(&text).expect("sink output parses back");
         assert_eq!(lines.len(), 3);
         match &lines[1] {
             TraceLine::Instance(t) => assert_eq!(t.seq, 0),
@@ -333,16 +336,21 @@ mod tests {
     #[test]
     fn csv_sink_matches_fig1_schema() {
         let mut sink = CsvSink::new(Vec::new());
-        sink.campaign(&meta()).unwrap(); // no row
-        sink.instance(&trace("c17", 0, 42_000, "SAT")).unwrap();
-        sink.finish().unwrap();
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        sink.campaign(&meta())
+            .expect("writing to a Vec cannot fail"); // no row
+        sink.instance(&trace("c17", 0, 42_000, "SAT"))
+            .expect("writing to a Vec cannot fail");
+        sink.finish().expect("writing to a Vec cannot fail");
+        let text = String::from_utf8(sink.into_inner()).expect("sink writes UTF-8");
         let mut lines = text.lines();
         assert_eq!(
-            lines.next().unwrap(),
+            lines.next().expect("header row"),
             "circuit,fault,vars,clauses,time_us,decisions,propagations,conflicts,outcome"
         );
-        assert_eq!(lines.next().unwrap(), "c17,n0/s-a-0,10,20,42.000,3,9,1,SAT");
+        assert_eq!(
+            lines.next().expect("one data row"),
+            "c17,n0/s-a-0,10,20,42.000,3,9,1,SAT"
+        );
         assert!(lines.next().is_none());
     }
 
@@ -350,13 +358,14 @@ mod tests {
     fn summary_sink_aggregates() {
         let mut sink = SummarySink::new();
         for i in 0..90 {
-            sink.instance(&trace("c17", i, 1_000_000, "SAT")).unwrap();
+            sink.instance(&trace("c17", i, 1_000_000, "SAT"))
+                .expect("summary sink does no I/O");
         }
         for i in 0..10 {
             sink.instance(&trace("b9", 90 + i, 1_000_000_000, "ABORT"))
-                .unwrap();
+                .expect("summary sink does no I/O");
         }
-        sink.campaign(&meta()).unwrap();
+        sink.campaign(&meta()).expect("summary sink does no I/O");
         let s = &sink.summary;
         assert_eq!(s.instances, 100);
         assert_eq!(s.by_outcome["SAT"], 90);

@@ -78,7 +78,7 @@ proptest! {
                 b
             })
             .collect();
-        let values = s.run_block(&nl, &blocks);
+        let values = s.run(&nl, &blocks);
         for net in nl.net_ids() {
             for value in [false, true] {
                 let a = Lit::new(net, value);

@@ -141,7 +141,7 @@ proptest! {
         };
         let blocks: Vec<sim::PatternBlock> =
             (0..n).map(|_| [next(), next(), next(), next()]).collect();
-        let wide = s.run_block(&nl, &blocks);
+        let wide = s.run(&nl, &blocks);
         for lane in 0..sim::LANES {
             let words: Vec<u64> = blocks.iter().map(|b| b[lane]).collect();
             let narrow = s.run(&nl, &words);
