@@ -31,9 +31,9 @@
 //!   across faults (enable with [`AtpgConfig::incremental`]);
 //! - [`parallel`]: the fault-parallel campaign engine — the driver's
 //!   setup shared by worker threads that each own a solver context and
-//!   pop from a sharded work queue, with fault dropping coordinated
-//!   through a drop-bitmap and committed in fault order so the output is
-//!   byte-identical at any thread count;
+//!   take faults from one shared atomic cursor, with fault dropping
+//!   coordinated through a drop-bitmap and committed in fault order so
+//!   the output is byte-identical at any thread count;
 //! - [`certify`]: DRAT proof logging for every verdict — campaigns
 //!   record axioms and solve brackets while the solvers stream their
 //!   derivations, producing proof streams the independent
@@ -82,6 +82,4 @@ pub use fault::Fault;
 pub use faultsim::{FaultSimulator, SimBuffers, WIDE_PATTERNS};
 pub use incremental::IncrementalAtpg;
 pub use miter::AtpgMiter;
-pub use parallel::{
-    AtpgCampaign, DropBitmap, ParallelReport, ParallelRun, ShardedQueue, WorkerReport,
-};
+pub use parallel::{AtpgCampaign, DropBitmap, ParallelReport, ParallelRun, WorkerReport};

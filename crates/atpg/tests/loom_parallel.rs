@@ -1,9 +1,10 @@
 //! Model-checked exploration of the parallel campaign engine's lock-free
-//! core: the sharded steal queue, the drop-bitmap publish/read protocol,
-//! and the in-order committer hand-off. Compiled only under
-//! `RUSTFLAGS="--cfg loom"`, where `atpg_easy_syncx` swaps the production
-//! atomics for the vendored model checker's — so these tests explore the
-//! *production* `ShardedQueue`/`DropBitmap` types, not copies.
+//! core: the drop-bitmap publish/read protocol and the in-order committer
+//! hand-off. Compiled only under `RUSTFLAGS="--cfg loom"`, where
+//! `atpg_easy_syncx` swaps the production atomics for the vendored model
+//! checker's — so these tests explore the *production* `DropBitmap` type,
+//! not a copy. The shared fault cursor needs no scenario: it is one
+//! `fetch_add`, which hands out each index once under any schedule.
 //!
 //! Run with:
 //!
@@ -14,82 +15,11 @@
 
 use std::sync::Mutex as StdMutex;
 
-use atpg_easy_atpg::{DropBitmap, ShardedQueue};
+use atpg_easy_atpg::DropBitmap;
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::Arc;
 
-/// Scenario 1 — two workers, one stealing from the other's shard: every
-/// schedule must hand out each index exactly once, across own-shard pops
-/// and steals.
-#[test]
-fn queue_steal_hands_out_each_index_once() {
-    loom::model(|| {
-        // 3 items over 2 shards: shard 0 = {0}, shard 1 = {1, 2}. Worker 0
-        // exhausts its shard quickly and steals from shard 1, racing
-        // worker 1's own-shard pops.
-        let q = Arc::new(ShardedQueue::new(3, 2));
-        let q1 = Arc::clone(&q);
-        let t = loom::thread::spawn(move || {
-            let mut got = Vec::new();
-            while let Some((i, _stolen)) = q1.pop(1) {
-                got.push(i);
-            }
-            got
-        });
-        let mut all = Vec::new();
-        let mut stole = false;
-        while let Some((i, stolen)) = q.pop(0) {
-            all.push(i);
-            stole |= stolen;
-        }
-        let theirs = t.join().expect("worker thread");
-        // Worker 0's own shard has one item; anything further is a steal.
-        assert!(
-            all.len() <= 1 || stole,
-            "worker 0 popped {all:?} without a steal flag"
-        );
-        all.extend(theirs);
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2], "each index exactly once");
-    });
-}
-
-/// Scenario 1b — chunked pops racing a chunked steal: the adaptive
-/// quarter/half granularity still hands out each index exactly once in
-/// every schedule, with no overlap between a worker's own-shard ranges
-/// and the thief's.
-#[test]
-fn queue_steal_chunked_hands_out_each_index_once() {
-    loom::model(|| {
-        // 8 items over 2 shards: shard 0 = {0..4}, shard 1 = {4..8}.
-        // Both workers pop multi-index chunks (cap 4), so the CAS on each
-        // cursor races over ranges, not single slots.
-        let q = Arc::new(ShardedQueue::new(8, 2));
-        let q1 = Arc::clone(&q);
-        let t = loom::thread::spawn(move || {
-            let mut got = Vec::new();
-            while let Some((r, _stolen)) = q1.pop_chunk(1, 4) {
-                got.extend(r);
-            }
-            got
-        });
-        let mut all = Vec::new();
-        while let Some((r, stolen)) = q.pop_chunk(0, 4) {
-            // A chunk from worker 0's own shard lives in 0..4; anything
-            // flagged stolen must come from shard 1's range.
-            assert!(
-                if stolen { r.start >= 4 } else { r.end <= 4 },
-                "chunk {r:?} contradicts its stolen flag {stolen}"
-            );
-            all.extend(r);
-        }
-        all.extend(t.join().expect("worker thread"));
-        all.sort_unstable();
-        assert_eq!(all, (0..8).collect::<Vec<_>>(), "each index exactly once");
-    });
-}
-
-/// Scenario 2a — drop-bit publish racing a fault-skip read: bits are
+/// Scenario 1a — drop-bit publish racing a fault-skip read: bits are
 /// monotone, and because the committer sets them in commit order, a
 /// worker that observes a later bit must also observe every earlier one
 /// (the Release `set` / Acquire `get` pairing; under the model's
@@ -118,7 +48,7 @@ fn bitmap_later_bit_implies_earlier_bit() {
     });
 }
 
-/// Scenario 2b — concurrent sets in the *same* 64-bit word must both
+/// Scenario 1b — concurrent sets in the *same* 64-bit word must both
 /// survive: `set` is a `fetch_or`, not a load/store pair, so no schedule
 /// can lose a sibling bit.
 #[test]
@@ -136,7 +66,7 @@ fn bitmap_same_word_sets_never_lose_a_bit() {
     });
 }
 
-/// Scenario 3 — in-order committer vs speculative worker completion.
+/// Scenario 2a — in-order committer vs speculative worker completion.
 ///
 /// Models the engine's hand-off protocol on 2 faults: the committer
 /// retires fault 0 and its test vector also covers fault 1 (so it sets
@@ -191,7 +121,7 @@ fn committer_handoff_is_schedule_independent() {
     );
 }
 
-/// Scenario 3b — speculative completion *ahead* of the frontier: the
+/// Scenario 2b — speculative completion *ahead* of the frontier: the
 /// worker finishes fault 1 before fault 0 is committed in some schedules,
 /// yet the commit order is always 0 then 1.
 #[test]
@@ -217,7 +147,7 @@ fn commit_order_is_frontier_order_not_completion_order() {
     assert!(seen.iter().all(|o| o == &vec![0, 1]));
 }
 
-/// Scenario 3c — windowed commit hand-off: with a commit window ≥ 2, a
+/// Scenario 2c — windowed commit hand-off: with a commit window ≥ 2, a
 /// solve arriving ahead of the frontier commits immediately — its drop
 /// bit is published before the frontier fault is even solved — while its
 /// record is merely *held*. Whatever the schedule: a worker racing the

@@ -10,7 +10,9 @@
 //! speedup, drop rate and per-worker instance counts to
 //! `results/scaling.json`, together with the host CPU count — runs with
 //! more threads than host CPUs are annotated as oversubscribed, because
-//! their speedups measure scheduler contention, not scaling.
+//! their speedups measure scheduler contention, not scaling. The file is
+//! written before the waste and speedup gates are checked, so a failed
+//! gate still leaves its numbers.
 //!
 //! Determinism is checked per run: in the strict legacy configuration
 //! (`--window 1`, no `--incremental`) every thread count must be
@@ -138,8 +140,29 @@ fn main() {
         });
     }
 
+    // The numbers are written before the gates below, so a run that fails
+    // a gate still leaves them on disk.
+    let report = ScalingReport {
+        suite: suite_name.to_string(),
+        host_cpus,
+        commit_window: window,
+        incremental,
+        runs,
+    };
+    if let Some(dir) = std::path::Path::new(&out).parent() {
+        std::fs::create_dir_all(dir).expect("results directory creatable");
+    }
+    std::fs::write(&out, report.to_json()).expect("scaling.json writable");
+    let invariant = if strict {
+        "byte-identical"
+    } else {
+        "detection-identical"
+    };
+    println!("(written to {out}; all thread counts {invariant} to baseline)");
+    let runs = &report.runs;
+
     // Waste regression gate: speculative-solve waste must not blow up
-    // with parallelism now that workers re-check the drop bitmap before
+    // with parallelism now that workers check the drop bitmap before
     // every solve and the committer applies tests inside the window. The
     // gate only covers runs that fit the host — on an oversubscribed run
     // workers sit descheduled between the bitmap re-check and the solve,
@@ -184,23 +207,4 @@ fn main() {
         );
         println!("4-thread speedup {got:.2}x >= {min:.2}x — ok");
     }
-
-    let json = ScalingReport {
-        suite: suite_name.to_string(),
-        host_cpus,
-        commit_window: window,
-        incremental,
-        runs,
-    }
-    .to_json();
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).expect("results directory creatable");
-    }
-    std::fs::write(&out, json).expect("scaling.json writable");
-    let invariant = if strict {
-        "byte-identical"
-    } else {
-        "detection-identical"
-    };
-    println!("(written to {out}; all thread counts {invariant} to baseline)");
 }

@@ -1,12 +1,10 @@
-//! Plain-text renderings of the series the paper plots, plus execution
-//! reports for the parallel campaign engine (per-worker breakdowns and
-//! the `scaling.json` schema).
+//! Plain-text renderings of the series the paper plots, plus the
+//! `scaling.json` and `serve.json` schemas of the execution reports.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use atpg_easy_atpg::parallel::ParallelReport;
 use atpg_easy_obs::{json_escape, InstanceTrace};
 
 use crate::experiment::{fig1_summary, Fig1Point, Fig8Point};
@@ -232,43 +230,6 @@ pub fn figure8_csv(points: &[Fig8Point]) -> String {
     s
 }
 
-/// Per-worker breakdown of one parallel campaign, plus the headline
-/// queue/drop counters.
-pub fn worker_table(report: &ParallelReport) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:<7} {:>7} {:>7} {:>8} {:>8} {:>12} {:>10} {:>10}",
-        "worker", "popped", "stolen", "solved", "skipped", "solve time", "decisions", "conflicts"
-    );
-    for w in &report.workers {
-        let _ = writeln!(
-            s,
-            "{:<7} {:>7} {:>7} {:>8} {:>8} {:>12?} {:>10} {:>10}",
-            w.id,
-            w.popped,
-            w.stolen,
-            w.solved,
-            w.skipped,
-            w.solve_time,
-            w.counters.decisions,
-            w.counters.conflicts
-        );
-    }
-    let _ = writeln!(
-        s,
-        "queue depth {} | committed SAT {} / UNSAT {} | dropped {} ({:.1}%) | wasted solves {} | wall {:?}",
-        report.queue_depth,
-        report.committed_sat,
-        report.committed_unsat,
-        report.dropped,
-        100.0 * report.drop_rate(),
-        report.wasted_solves,
-        report.wall
-    );
-    s
-}
-
 /// One aggregated scaling measurement: a whole benchmark suite run at one
 /// thread count.
 #[derive(Debug, Clone)]
@@ -435,20 +396,6 @@ impl ServeBenchReport {
 #[cfg(test)]
 mod parallel_report_tests {
     use super::*;
-    use atpg_easy_atpg::parallel::AtpgCampaign;
-    use atpg_easy_atpg::AtpgConfig;
-    use atpg_easy_circuits::suite;
-
-    #[test]
-    fn worker_table_renders() {
-        let run = AtpgCampaign::new(AtpgConfig::default())
-            .with_threads(2)
-            .run(&suite::c17());
-        let t = worker_table(&run.report);
-        assert!(t.contains("worker"), "{t}");
-        assert!(t.contains("queue depth"), "{t}");
-        assert_eq!(t.lines().count(), 2 + 2, "header + 2 workers + summary");
-    }
 
     #[test]
     fn scaling_json_shape() {

@@ -93,7 +93,7 @@ pub struct CampaignMeta {
     pub threads: u64,
     /// Commit-window width (1 = strict in-order committing).
     pub commit_window: u64,
-    /// Fault-queue depth (targeted faults).
+    /// Targeted faults.
     pub queue_depth: u64,
     /// Committed solver calls that detected their fault (SAT).
     pub committed_sat: u64,

@@ -17,8 +17,9 @@
 //!   its tenant's queue while the tenant rotates to the back of the
 //!   ring (no tenant starves another). A tenant whose campaign is on a
 //!   worker is *held* out of the ring, so at most one of its campaigns
-//!   runs at a time — run-to-completion within a tenant, which makes
-//!   per-tenant completion order equal submission order even on a
+//!   runs at a time — run-to-completion within a tenant, and the hold
+//!   is released only after the campaign's `done` line is queued, which
+//!   makes per-tenant completion order equal submission order even on a
 //!   multi-worker pool. A tenant that wants intra-connection
 //!   parallelism opens more connections.
 //! - **Small-job batching.** A quantum is `quantum` faults, so cheap
@@ -719,19 +720,6 @@ impl Scheduler {
                 let _ = shared.finish();
             }
         }
-        // Release the slot *before* the terminal line goes out: a client
-        // that reacts to `done` by submitting again (or by reading the
-        // stats gauge) must observe the freed capacity.
-        let mut ready = self.lock_ready();
-        ready.index.remove(&(job.tenant, job.req_id.clone()));
-        ready.in_flight -= 1;
-        Self::release(&mut ready, job.tenant);
-        drop(ready);
-        // A campaign the tenant pipelined behind this one may have just
-        // become schedulable.
-        self.work_ready.notify_one();
-        // ORDERING: Relaxed — see PoolStats.
-        self.stats.active.fetch_sub(1, Ordering::Relaxed);
         let done = Response::Done {
             id: job.req_id.clone(),
             status,
@@ -742,7 +730,25 @@ impl Scheduler {
             solves: job.solves,
             wall_ms: self.clock.now_ms().saturating_sub(job.admitted_ms),
         };
+        // Free the slot, then queue `done`, then release the tenant's
+        // hold, all under the ready lock. Freeing first means a client
+        // that reacts to `done` by submitting again (or by reading the
+        // stats gauge) observes the freed capacity. Queueing `done` before
+        // the release means no worker can pop, run and finish the
+        // tenant's next campaign and put its `done` on the wire first, so
+        // per-tenant completion order stays submission order. The channel
+        // send never blocks.
+        let mut ready = self.lock_ready();
+        ready.index.remove(&(job.tenant, job.req_id.clone()));
+        ready.in_flight -= 1;
+        // ORDERING: Relaxed — see PoolStats.
+        self.stats.active.fetch_sub(1, Ordering::Relaxed);
         send_line(&job.reply, &done);
+        Self::release(&mut ready, job.tenant);
+        drop(ready);
+        // A campaign the tenant pipelined behind this one may have just
+        // become schedulable.
+        self.work_ready.notify_one();
     }
 }
 

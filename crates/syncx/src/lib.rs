@@ -1,7 +1,7 @@
 //! Synchronization facade for the *atpg-easy* workspace.
 //!
-//! Concurrency-sensitive code (the parallel campaign engine's sharded
-//! queue and drop-bitmap, the serve daemon's scheduler and counters,
+//! Concurrency-sensitive code (the parallel campaign engine's fault
+//! cursor and drop-bitmap, the serve daemon's scheduler and counters,
 //! `obs`'s shared trace sink) imports its atomics, `Arc`, `Mutex`, and
 //! thread-spawning through this crate instead of `std::sync` directly.
 //! In a normal build every item below is a plain re-export of the std

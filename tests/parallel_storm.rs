@@ -1,4 +1,4 @@
-//! Steal/commit storm: the parallel campaign engine under real OS-thread
+//! Cursor/commit storm: the parallel campaign engine under real OS-thread
 //! contention must stay byte-deterministic. Randomized circuits (varying
 //! locality, so varying drop rates and solve times) are run with 1 and
 //! with 8 worker threads; the committed reports must be identical bytes
@@ -6,8 +6,8 @@
 //!
 //! This complements the `loom_parallel` model tests: loom explores every
 //! interleaving of a tiny protocol model; this test hammers the full
-//! engine — queue, speculative solves, drop bitmap, mpsc hand-off,
-//! committer — with genuinely concurrent workers.
+//! engine — shared fault cursor, speculative solves, drop bitmap, mpsc
+//! hand-off, committer — with genuinely concurrent workers.
 
 use atpg_easy_atpg::{campaign, AtpgCampaign, AtpgConfig};
 use atpg_easy_circuits::random::{generate, RandomCircuitConfig};
@@ -41,13 +41,15 @@ fn eight_thread_storm_matches_single_thread_byte_for_byte() {
             "seed {seed} locality {locality}: canonical report diverged under 8 threads"
         );
         // The storm must actually have contended: all 8 workers exist and
-        // every fault was popped exactly once between them.
+        // every fault was taken exactly once between them.
         assert_eq!(stormed.report.workers.len(), 8);
-        let popped: usize = stormed.report.workers.iter().map(|w| w.popped).sum();
-        assert_eq!(
-            popped, stormed.report.queue_depth,
-            "every fault popped once"
-        );
+        let taken: usize = stormed
+            .report
+            .workers
+            .iter()
+            .map(|w| w.solved + w.skipped)
+            .sum();
+        assert_eq!(taken, stormed.report.queue_depth, "every fault taken once");
     }
 }
 
@@ -121,13 +123,13 @@ fn window_sweep_keeps_detection_identical_across_threads() {
                         "{what}: window 1 must stay byte-identical"
                     );
                 }
-                let popped: usize = run.report.workers.iter().map(|w| w.popped).sum();
-                assert_eq!(popped, run.report.queue_depth, "every fault popped once");
-                let chunks: usize = run.report.workers.iter().map(|w| w.chunks).sum();
-                assert!(
-                    chunks <= popped,
-                    "chunked pops must batch indices, not duplicate them"
-                );
+                let taken: usize = run
+                    .report
+                    .workers
+                    .iter()
+                    .map(|w| w.solved + w.skipped)
+                    .sum();
+                assert_eq!(taken, run.report.queue_depth, "every fault taken once");
                 assert_eq!(
                     run.traces.len(),
                     run.report.committed_solves(),
