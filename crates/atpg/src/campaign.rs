@@ -8,6 +8,7 @@
 use std::time::{Duration, Instant};
 
 use atpg_easy_cnf::circuit;
+use atpg_easy_netlist::sim::PatternBlock;
 use atpg_easy_netlist::Netlist;
 use atpg_easy_obs::{CountingProbe, InstanceTrace, NoProbe};
 use atpg_easy_sat::{
@@ -16,7 +17,7 @@ use atpg_easy_sat::{
 
 use crate::certify::{CertifiedRun, StreamSink};
 use crate::driver::CampaignDriver;
-use crate::faultsim::{FaultSimulator, SimBuffers};
+use crate::faultsim::{FaultSimulator, SimBuffers, WIDE_PATTERNS};
 use crate::{miter, verify, Fault};
 
 /// Which solver backs the campaign.
@@ -793,49 +794,200 @@ mod tests {
 ///
 /// Classic static compaction: vectors are considered newest-first (later
 /// vectors target harder faults and tend to cover many easy ones), and a
-/// vector is kept only if it detects a fault no already-kept vector
-/// detects. Returns the kept vectors, oldest-first.
+/// vector is kept only if it detects a fault no newer kept vector
+/// detects — so each fault keeps its first detector in that order.
+/// Returns the kept vectors, oldest-first.
 ///
-/// Each vector is simulated alone on one 64-pattern word
-/// ([`FaultSimulator::detect_batch_with`]): the 63 lanes past it simulate
-/// the all-zero input vector, and what that vector detects counts. Every
-/// fault the all-zero vector detects is credited to the newest vector, so
-/// the kept set need not detect it.
+/// `tests` is simulated from the end in slices of up to
+/// [`WIDE_PATTERNS`] vectors, one block-parallel pass per slice against
+/// the faults no newer vector detects; a fault's first detector is the
+/// highest detecting lane of its slice.
+///
+/// Every fault the all-zero input vector detects is credited to the
+/// newest vector, so the kept set need not detect it: the credit that
+/// [`FaultSimulator::detect_batch_with`] gives its lanes past the last
+/// vector, made once and explicitly. The slices mask their unused lanes.
 ///
 /// # Panics
 ///
 /// Panics if a vector has the wrong width or the netlist is cyclic.
 pub fn compact_tests(nl: &Netlist, tests: &[Vec<bool>], faults: &[Fault]) -> Vec<Vec<bool>> {
+    let Some(newest) = tests.len().checked_sub(1) else {
+        return Vec::new();
+    };
     let fs = FaultSimulator::with_cones(nl);
-    let mut undetected: Vec<Fault> = faults.to_vec();
-    let mut kept: Vec<Vec<bool>> = Vec::new();
     let mut bufs = SimBuffers::default();
-    for vector in tests.iter().rev() {
-        if undetected.is_empty() {
-            break;
-        }
-        let hits = fs.detect_batch_with(nl, std::slice::from_ref(vector), &undetected, &mut bufs);
-        let before = undetected.len();
-        let mut keep_faults = Vec::with_capacity(before);
-        for (f, hit) in undetected.into_iter().zip(&hits) {
-            if !hit {
-                keep_faults.push(f);
+    let mut keep = vec![false; tests.len()];
+    // Faults no newer kept vector detects.
+    let mut live: Vec<Fault> = faults.to_vec();
+    // The all-zero credit: a word with no vectors simulates only the
+    // all-zero vector.
+    let mut zero = fs.detect_batch_with(nl, &[], &live, &mut bufs).into_iter();
+    live.retain(|_| zero.next() != Some(true));
+    keep[newest] = live.len() < faults.len();
+    let mut end = tests.len();
+    while end > 0 && !live.is_empty() {
+        let start = end.saturating_sub(WIDE_PATTERNS);
+        let slice = &tests[start..end];
+        let masks = fs.detect_batch_in(nl, slice, live.iter().copied(), &mut bufs.blocks);
+        let mut masks = masks.iter();
+        live.retain(|_| {
+            let lane = masks.next().and_then(|m| newest_lane(m, slice.len()));
+            if let Some(p) = lane {
+                keep[start + p] = true;
             }
-        }
-        undetected = keep_faults;
-        if undetected.len() < before {
-            kept.push(vector.clone());
-        }
+            lane.is_none()
+        });
+        end = start;
     }
-    kept.reverse();
-    kept
+    tests
+        .iter()
+        .zip(keep)
+        .filter(|&(_, kept)| kept)
+        .map(|(vector, _)| vector.clone())
+        .collect()
+}
+
+/// The highest of the first `lanes` patterns set in `mask`: in a slice
+/// of `lanes` vectors, the newest one that detects the fault.
+fn newest_lane(mask: &PatternBlock, lanes: usize) -> Option<usize> {
+    (0..lanes.div_ceil(64)).rev().find_map(|w| {
+        let used = lanes - w * 64;
+        let valid = if used >= 64 { !0 } else { (1u64 << used) - 1 };
+        let bits = mask[w] & valid;
+        (bits != 0).then(|| w * 64 + 63 - bits.leading_zeros() as usize)
+    })
 }
 
 #[cfg(test)]
 mod compaction_tests {
     use super::*;
     use crate::fault;
+    use atpg_easy_circuits::suite;
     use atpg_easy_netlist::parser::bench;
+    use atpg_easy_netlist::GateKind;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The reference: the per-vector greedy loop. Each vector, newest
+    /// first, rides alone on one 64-pattern word against the faults no
+    /// newer kept vector detects, and is kept iff it retires one of them.
+    fn reference_compact(nl: &Netlist, tests: &[Vec<bool>], faults: &[Fault]) -> Vec<Vec<bool>> {
+        let fs = FaultSimulator::with_cones(nl);
+        let mut undetected: Vec<Fault> = faults.to_vec();
+        let mut kept: Vec<Vec<bool>> = Vec::new();
+        let mut bufs = SimBuffers::default();
+        for vector in tests.iter().rev() {
+            if undetected.is_empty() {
+                break;
+            }
+            let hits =
+                fs.detect_batch_with(nl, std::slice::from_ref(vector), &undetected, &mut bufs);
+            let before = undetected.len();
+            let mut keep_faults = Vec::with_capacity(before);
+            for (f, hit) in undetected.into_iter().zip(&hits) {
+                if !hit {
+                    keep_faults.push(f);
+                }
+            }
+            undetected = keep_faults;
+            if undetected.len() < before {
+                kept.push(vector.clone());
+            }
+        }
+        kept.reverse();
+        kept
+    }
+
+    fn assert_matches_reference(nl: &Netlist, tests: &[Vec<bool>], faults: &[Fault], what: &str) {
+        assert_eq!(
+            compact_tests(nl, tests, faults),
+            reference_compact(nl, tests, faults),
+            "{what}"
+        );
+    }
+
+    fn detected_faults(result: &CampaignResult) -> Vec<Fault> {
+        result
+            .records
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.outcome,
+                    FaultOutcome::Detected(_) | FaultOutcome::DetectedBySimulation
+                )
+            })
+            .map(|r| r.fault)
+            .collect()
+    }
+
+    #[test]
+    fn matches_the_per_vector_loop_on_suite_campaigns() {
+        // 4096 random patterns keep sets larger than one 256-vector
+        // slice, so the slices split.
+        let config = AtpgConfig {
+            random_patterns: 4096,
+            ..AtpgConfig::default()
+        };
+        let mut circuits = suite::mcnc_like();
+        circuits.extend(suite::iscas_like());
+        circuits.push(suite::c6288_like());
+        let mut split = 0;
+        for c in circuits {
+            let res = run(&c.netlist, &config);
+            split += usize::from(res.tests.len() > WIDE_PATTERNS);
+            let what = format!("{} against its detected faults", c.name);
+            assert_matches_reference(&c.netlist, &res.tests, &detected_faults(&res), &what);
+            let what = format!("{} against the collapsed list", c.name);
+            assert_matches_reference(&c.netlist, &res.tests, &fault::collapse(&c.netlist), &what);
+        }
+        assert!(split > 0, "some test set spans several slices");
+    }
+
+    #[test]
+    fn matches_the_per_vector_loop_on_a_short_last_slice() {
+        // 300 = 256 + 44: the oldest slice masks its 212 unused lanes.
+        let nl = suite::priority_encoder(8);
+        let mut rng = StdRng::seed_from_u64(5);
+        let tests: Vec<Vec<bool>> = (0..300)
+            .map(|_| (0..nl.num_inputs()).map(|_| rng.random_bool(0.5)).collect())
+            .collect();
+        let faults = fault::all_faults(&nl);
+        assert_matches_reference(&nl, &tests, &faults, "300 vectors");
+        assert_matches_reference(&nl, &tests[..44], &faults, "44 vectors");
+    }
+
+    #[test]
+    fn matches_the_per_vector_loop_on_a_doubled_set() {
+        let nl = c17();
+        let res = run(&nl, &AtpgConfig::default());
+        let mut doubled = res.tests.clone();
+        doubled.extend(res.tests.iter().cloned());
+        assert_matches_reference(&nl, &doubled, &fault::collapse(&nl), "doubled c17");
+    }
+
+    #[test]
+    fn the_all_zero_vector_is_credited_to_the_newest_vector() {
+        // y = NOR(a, b) tested by [1, 0] alone: only the all-zero vector
+        // detects y s-a-0, a s-a-1 and b s-a-1.
+        let mut nl = Netlist::new("nor");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let y = nl.add_gate_named(GateKind::Nor, vec![a, b], "y").unwrap();
+        nl.add_output(y);
+        let tests = vec![vec![true, false]];
+        let zero_only = [
+            Fault::stuck_at_0(y),
+            Fault::stuck_at_1(a),
+            Fault::stuck_at_1(b),
+        ];
+        assert!(zero_only
+            .iter()
+            .all(|&f| !verify::detects(&nl, f, &tests[0])));
+        assert_eq!(compact_tests(&nl, &tests, &zero_only), tests);
+        assert_matches_reference(&nl, &tests, &zero_only, "zero-only faults");
+        assert_matches_reference(&nl, &tests, &fault::all_faults(&nl), "all faults");
+    }
 
     fn c17() -> Netlist {
         bench::parse(

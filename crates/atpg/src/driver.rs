@@ -32,6 +32,7 @@
 
 use std::time::Duration;
 
+use atpg_easy_netlist::sim::{Lanes, PatternBlock};
 use atpg_easy_netlist::Netlist;
 use atpg_easy_obs::{Counters, CountingProbe, InstanceTrace};
 use rand::rngs::StdRng;
@@ -107,7 +108,7 @@ impl CampaignSetup {
         };
         let fs = FaultSimulator::with_cones(nl);
         let mut detected = vec![false; faults.len()];
-        let tests = random_phase(nl, config, &fs, &faults, &mut detected);
+        let tests = random_phase(nl, config, &fs, &faults, &pruned, &mut detected);
         let commit = CommitState {
             detected,
             result: CampaignResult {
@@ -120,43 +121,54 @@ impl CampaignSetup {
     }
 }
 
-/// Simulates `config.random_patterns` random vectors against the fault
-/// list, marking hits in `detected`, and returns the batches that retired
-/// at least one new fault. Deterministic in `config.seed`.
+/// Simulates up to `config.random_patterns` random vectors against the
+/// live faults, marking the ones they retire in `detected`, and returns
+/// the batches that retired at least one fault. Deterministic in
+/// `config.seed`.
+///
+/// The live faults are those neither statically pruned nor already
+/// retired, in list order: each batch is simulated against them alone,
+/// and the phase stops generating batches once none is left. Detection is
+/// monotone and the prune is sound (no vector detects a pruned fault), so
+/// `detected` and the kept batches are those of simulating every batch
+/// against the whole fault list.
 ///
 /// Batches are [`WIDE_PATTERNS`] (256) patterns wide: one block-parallel
 /// pass per batch retires four word-widths of patterns at the cost of a
-/// single cone resimulation per fault, with every per-net buffer reused
-/// across batches.
+/// single cone resimulation per live fault, with every per-net buffer
+/// reused across batches.
 fn random_phase(
     nl: &Netlist,
     config: &AtpgConfig,
     fs: &FaultSimulator,
     faults: &[Fault],
+    pruned: &[bool],
     detected: &mut [bool],
 ) -> Vec<Vec<bool>> {
     let mut tests = Vec::new();
     if config.random_patterns == 0 || nl.num_inputs() == 0 {
         return tests;
     }
+    let mut live: Vec<usize> = (0..faults.len()).filter(|&i| !pruned[i]).collect();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut bufs = SimBuffers::default();
     let mut remaining = config.random_patterns;
-    while remaining > 0 {
+    while remaining > 0 && !live.is_empty() {
         let batch = remaining.min(WIDE_PATTERNS);
         remaining -= batch;
         let vectors: Vec<Vec<bool>> = (0..batch)
             .map(|_| (0..nl.num_inputs()).map(|_| rng.random_bool(0.5)).collect())
             .collect();
-        let hits = fs.detect_batch_wide(nl, &vectors, faults, &mut bufs);
-        let mut useful = false;
-        for (i, hit) in hits.into_iter().enumerate() {
-            if hit && !detected[i] {
-                detected[i] = true;
-                useful = true;
-            }
-        }
-        if useful {
+        let live_faults = live.iter().map(|&i| faults[i]);
+        let masks = fs.detect_batch_in(nl, &vectors, live_faults, &mut bufs.blocks);
+        let before = live.len();
+        let mut masks = masks.iter();
+        live.retain(|&i| {
+            let hit = masks.next().is_some_and(|&m| m != PatternBlock::ZERO);
+            detected[i] |= hit;
+            !hit
+        });
+        if live.len() < before {
             tests.extend(vectors);
         }
     }
@@ -168,9 +180,10 @@ pub(crate) struct Solved {
     /// Fault index in the setup's fault list.
     pub(crate) index: usize,
     pub(crate) record: FaultRecord,
-    /// For a detected fault with dropping on: one bit per fault of the
-    /// setup, set iff the record's test vector detects it.
-    hits: Option<Vec<u64>>,
+    /// For a detected fault with dropping on: the live faults its test
+    /// vector detects, as ascending indices into the setup's fault list
+    /// (empty otherwise).
+    hits: Vec<usize>,
     /// Probe-derived event totals (zero unless the context counts).
     pub(crate) counters: Counters,
     /// Proof bytes the solve logged (0 unless certified).
@@ -210,6 +223,8 @@ pub(crate) struct SolverContext {
     /// campaign does not trace.
     trace_worker: Option<u64>,
     bufs: SimBuffers,
+    /// The live fault indices of the current drop, reused across solves.
+    live: Vec<usize>,
 }
 
 impl SolverContext {
@@ -237,17 +252,23 @@ impl SolverContext {
             counted,
             trace_worker,
             bufs: SimBuffers::default(),
+            live: Vec::new(),
         }
     }
 
     /// Builds and solves fault `index` of `setup`, and for a detected
-    /// fault with dropping on, simulates its test against every fault.
+    /// fault with dropping on, simulates its test against the `live`
+    /// faults: the ascending indices whose outcome the test can still
+    /// change. A fault left out must be one whose commit would change
+    /// nothing; one included needlessly costs a cone simulation, never a
+    /// verdict.
     pub(crate) fn solve(
         &mut self,
         nl: &Netlist,
         config: &AtpgConfig,
         setup: &CampaignSetup,
         index: usize,
+        live: impl IntoIterator<Item = usize>,
     ) -> Solved {
         let f = setup.faults[index];
         let mut probe = CountingProbe::default();
@@ -263,21 +284,22 @@ impl SolverContext {
             .map_or(0, StreamSink::take_instance_bytes);
         let hits = match &record.outcome {
             FaultOutcome::Detected(vector) if config.fault_dropping => {
-                let hits = setup.fs.detect_batch_with(
+                self.live.clear();
+                self.live.extend(live);
+                let masks = setup.fs.detect_batch_in(
                     nl,
                     std::slice::from_ref(vector),
-                    &setup.faults,
-                    &mut self.bufs,
+                    self.live.iter().map(|&j| setup.faults[j]),
+                    &mut self.bufs.words,
                 );
-                let mut words = vec![0u64; hits.len().div_ceil(64)];
-                for (j, &hit) in hits.iter().enumerate() {
-                    if hit {
-                        words[j / 64] |= 1 << (j % 64);
-                    }
-                }
-                Some(words)
+                self.live
+                    .iter()
+                    .zip(masks)
+                    .filter(|&(_, &mask)| mask != 0)
+                    .map(|(&j, _)| j)
+                    .collect()
             }
-            _ => None,
+            _ => Vec::new(),
         };
         let mut solved = Solved {
             index,
@@ -340,19 +362,10 @@ impl CommitState {
     /// kept. Returns the record to emit.
     pub(crate) fn commit(&mut self, solved: Solved, mut publish: impl FnMut(usize)) -> FaultRecord {
         if let FaultOutcome::Detected(vector) = &solved.record.outcome {
-            let faults = self.detected.len();
-            let mut mark = |j: usize| {
+            for j in std::iter::once(solved.index).chain(solved.hits) {
                 if !self.detected[j] {
                     self.detected[j] = true;
                     publish(j);
-                }
-            };
-            mark(solved.index);
-            if let Some(hits) = &solved.hits {
-                for j in 0..faults {
-                    if hits[j / 64] >> (j % 64) & 1 != 0 {
-                        mark(j);
-                    }
                 }
             }
             self.result.tests.push(vector.clone());
@@ -375,6 +388,7 @@ pub struct CampaignDriver {
     commit: CommitState,
     next: usize,
     last_proof_bytes: u64,
+    sim_detected: usize,
 }
 
 impl CampaignDriver {
@@ -397,6 +411,7 @@ impl CampaignDriver {
     ) -> Result<Self, DriverError> {
         let (setup, commit) = CampaignSetup::new(&nl, config)?;
         let solver = SolverContext::new(&nl, config, tracing, tracing.then_some(0), certified);
+        let sim_detected = commit.detected.iter().filter(|&&d| d).count();
         Ok(CampaignDriver {
             nl,
             config: *config,
@@ -405,6 +420,7 @@ impl CampaignDriver {
             commit,
             next: 0,
             last_proof_bytes: 0,
+            sim_detected,
         })
     }
 
@@ -434,12 +450,11 @@ impl CampaignDriver {
         &self.setup.faults[self.next..]
     }
 
-    /// Faults currently marked detected by simulation or dropping. Read
-    /// before the first [`CampaignDriver::step`] this is exactly the
-    /// random-phase retirement count the serving layer reports in its
-    /// `start` line.
+    /// Faults the random-pattern phase retired, counted when the driver
+    /// was built; stepping does not change it. The serving layer reports
+    /// it in its `start` line.
     pub fn sim_detected(&self) -> usize {
-        self.commit.detected.iter().filter(|&&d| d).count()
+        self.sim_detected
     }
 
     /// Faults the static implication pre-pass proved redundant (0 unless
@@ -503,7 +518,12 @@ impl CampaignDriver {
                 record
             }
             None => {
-                let solved = self.solver.solve(&self.nl, &self.config, &self.setup, i);
+                // Every fault at or behind the cursor already has its
+                // record, so only later faults that still need a solve
+                // can be dropped.
+                let (setup, commit) = (&self.setup, &self.commit);
+                let live = (i + 1..setup.faults.len()).filter(|&j| commit.needs_solve(setup, j));
+                let solved = self.solver.solve(&self.nl, &self.config, setup, i, live);
                 self.last_proof_bytes = solved.proof_bytes;
                 self.commit.commit(solved, |_| {})
             }
@@ -576,6 +596,63 @@ mod tests {
             assert!(d.is_done());
             let got = d.into_result();
             assert_eq!(got.canonical_report(), want.canonical_report());
+        }
+    }
+
+    #[test]
+    fn sim_detected_is_the_random_phase_count() {
+        let config = AtpgConfig {
+            random_patterns: 16,
+            seed: 4,
+            ..AtpgConfig::default()
+        };
+        let mut d = CampaignDriver::try_new(c17(), &config, false, false).unwrap();
+        let before = d.sim_detected();
+        assert!(
+            before > 0 && before < d.total_faults(),
+            "the random phase leaves work for the solver"
+        );
+        while d.step().is_some() {}
+        assert_eq!(d.sim_detected(), before, "stepping does not change it");
+    }
+
+    /// Dropping is maximal although each vector is simulated only
+    /// against the live faults: no fault reaches the solver after an
+    /// earlier test already detects it.
+    #[test]
+    fn no_solved_fault_is_detected_by_an_earlier_test() {
+        for circuit in atpg_easy_circuits::suite::mcnc_like().into_iter().take(8) {
+            for incremental in [false, true] {
+                let nl = &circuit.netlist;
+                let config = AtpgConfig {
+                    incremental,
+                    ..AtpgConfig::default()
+                };
+                let result = campaign::run(nl, &config);
+                let fs = FaultSimulator::with_cones(nl);
+                let mut bufs = SimBuffers::default();
+                let mut earlier: Vec<&Vec<bool>> = Vec::new();
+                for r in &result.records {
+                    let FaultOutcome::Detected(vector) = &r.outcome else {
+                        continue;
+                    };
+                    for &test in &earlier {
+                        let hit = fs.detect_batch_with(
+                            nl,
+                            std::slice::from_ref(test),
+                            &[r.fault],
+                            &mut bufs,
+                        );
+                        assert!(
+                            !hit[0],
+                            "{} (incremental={incremental}): {} was solved after a test detected it",
+                            circuit.name,
+                            r.fault.describe(nl)
+                        );
+                    }
+                    earlier.push(vector);
+                }
+            }
         }
     }
 

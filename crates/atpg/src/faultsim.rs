@@ -34,16 +34,18 @@ pub const WIDE_PATTERNS: usize = PatternBlock::PATTERNS;
 /// allocates on first use.
 #[derive(Debug, Clone, Default)]
 pub struct SimBuffers {
-    words: LaneBuffers<u64>,
-    blocks: LaneBuffers<PatternBlock>,
+    pub(crate) words: LaneBuffers<u64>,
+    pub(crate) blocks: LaneBuffers<PatternBlock>,
 }
 
-/// The per-net buffers of one width.
+/// The per-net buffers of one width, and the per-fault detection masks
+/// of the last batch.
 #[derive(Debug, Clone, Default)]
-struct LaneBuffers<W> {
+pub(crate) struct LaneBuffers<W> {
     inputs: Vec<W>,
     good: Vec<W>,
     scratch: Vec<W>,
+    masks: Vec<W>,
 }
 
 /// Per-net fan-out cones, flattened into one arena.
@@ -254,7 +256,7 @@ impl FaultSimulator {
         faults: &[Fault],
         bufs: &mut SimBuffers,
     ) -> Vec<bool> {
-        self.detect_batch_in(nl, vectors, faults, &mut bufs.words)
+        detected(self.detect_batch_in(nl, vectors, faults.iter().copied(), &mut bufs.words))
     }
 
     /// Simulates one batch of up to [`WIDE_PATTERNS`] (256) vectors
@@ -277,28 +279,39 @@ impl FaultSimulator {
         faults: &[Fault],
         bufs: &mut SimBuffers,
     ) -> Vec<bool> {
-        self.detect_batch_in(nl, vectors, faults, &mut bufs.blocks)
+        detected(self.detect_batch_in(nl, vectors, faults.iter().copied(), &mut bufs.blocks))
     }
 
     /// The one batch body behind both widths: pack, simulate the good
-    /// circuit once, then one detection word per fault.
-    fn detect_batch_in<W: Lanes>(
+    /// circuit once, then one detection mask per fault of `faults`,
+    /// borrowed from `bufs` — bit `p` of a mask is set iff pattern `p`
+    /// detects that fault. `bufs` is one width of a [`SimBuffers`]:
+    /// `words` for up to 64 vectors, `blocks` for up to 256.
+    pub(crate) fn detect_batch_in<'b, W: Lanes>(
         &self,
         nl: &Netlist,
         vectors: &[Vec<bool>],
-        faults: &[Fault],
-        bufs: &mut LaneBuffers<W>,
-    ) -> Vec<bool> {
+        faults: impl IntoIterator<Item = Fault>,
+        bufs: &'b mut LaneBuffers<W>,
+    ) -> &'b [W] {
         pack_vectors_into(nl, vectors, &mut bufs.inputs);
         self.sim.run_into(nl, &bufs.inputs, &mut bufs.good);
         bufs.scratch.clear();
         bufs.scratch.extend_from_slice(&bufs.good);
         let (inputs, good, scratch) = (&bufs.inputs, &bufs.good, &mut bufs.scratch);
-        faults
-            .iter()
-            .map(|&f| self.detect_mask(nl, inputs, good, scratch, f) != W::ZERO)
-            .collect()
+        bufs.masks.clear();
+        bufs.masks.extend(
+            faults
+                .into_iter()
+                .map(|f| self.detect_mask(nl, inputs, good, scratch, f)),
+        );
+        &bufs.masks
     }
+}
+
+/// Whether each mask has any pattern set.
+fn detected<W: Lanes>(masks: &[W]) -> Vec<bool> {
+    masks.iter().map(|&m| m != W::ZERO).collect()
 }
 
 /// The word a stuck-at fault forces onto its net in every pattern.

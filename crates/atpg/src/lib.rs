@@ -10,9 +10,9 @@
 //!   the good subcircuit `C_ψ^sub`, the faulty fan-out cone `C_ψ^fo`, and a
 //!   pairwise XOR of the affected outputs;
 //! - [`faultsim`]: pattern-parallel fault simulation — 64 patterns per
-//!   word, 256 per pass in a campaign's random phase
-//!   ([`WIDE_PATTERNS`]) — used for fault dropping and for verifying
-//!   generated tests;
+//!   word, 256 per pass in a campaign's random phase and in test-set
+//!   compaction ([`WIDE_PATTERNS`]) — used for fault dropping and for
+//!   verifying generated tests;
 //! - [`podem`]: the PODEM structural baseline (decisions at primary
 //!   inputs only, objective/backtrace), cross-checked against the SAT
 //!   engines;

@@ -34,8 +34,12 @@
 //!   frontier. A worker skips an index whose bit in a shared drop-bitmap
 //!   is already set and speculatively solves the others. Every solved
 //!   instance is shipped to the committer along with the drop hits of its
-//!   test vector against the whole fault list — a pure function of the
-//!   vector, so it parallelizes safely.
+//!   test vector against the faults whose drop bit the worker still sees
+//!   clear. A set bit marks a fault the committer has already retired
+//!   (pruned or detected), so committing the vector's hits on it would
+//!   change nothing; a stale clear bit only adds one cone simulation.
+//!   Which faults a worker simulates therefore varies with the schedule,
+//!   but what the committer applies does not.
 //! - The committing thread applies verdicts to the drop state and emits
 //!   records strictly in fault-index order. Only the committer writes the
 //!   drop-bitmap, and only from committed tests, so the bitmap content —
@@ -342,8 +346,11 @@ pub struct WorkerReport {
 
 /// Shared fault-drop bitmap. Bits are monotone (set-only) and written by
 /// the committer alone during phase 2, so a set bit always reflects
-/// committed state. Correctness never depends on a worker *seeing* a bit
-/// — a missed bit only costs a wasted speculative solve — but `set` uses
+/// committed state. A worker skips a set bit twice over: it does not
+/// solve that fault, and it does not simulate that fault when dropping
+/// with its own test vector. Correctness never depends on a worker
+/// *seeing* a bit — a missed bit only costs a wasted speculative solve or
+/// one extra cone simulation — but `set` uses
 /// Release and `get` Acquire so that a worker which *does* observe a bit
 /// also observes everything the committer published before setting it.
 /// That pairing is cheap (free on x86, a lightweight barrier on ARM) and
@@ -375,7 +382,8 @@ impl DropBitmap {
     }
 
     /// Whether bit `i` is set. A `false` may be stale (costing a wasted
-    /// speculative solve); a `true` is definitive — bits are monotone.
+    /// speculative solve or a needless drop simulation); a `true` is
+    /// definitive — bits are monotone.
     pub fn get(&self, i: usize) -> bool {
         // ORDERING: Acquire — pairs with the Release `fetch_or` in `set`;
         // see the type-level docs for why Relaxed would also be *sound*
@@ -387,8 +395,9 @@ impl DropBitmap {
 /// One worker: takes fault indices from the shared cursor `next` until
 /// they run out and solves every index whose drop bit is still clear
 /// through its own [`SolverContext`] — its own warm solver and proof
-/// stream — shipping each [`Solved`] instance (record, drop hits and,
-/// when tracing, its trace) to the committer.
+/// stream — shipping each [`Solved`] instance (record, drop hits against
+/// the faults whose bit is still clear and, when tracing, its trace) to
+/// the committer.
 fn run_worker(
     id: usize,
     nl: &Netlist,
@@ -421,7 +430,8 @@ fn run_worker(
             report.skipped += 1;
             continue;
         }
-        let solved = solver.solve(nl, &campaign.config, setup, index);
+        let live = (0..setup.faults.len()).filter(|&j| !drop_bits.get(j));
+        let solved = solver.solve(nl, &campaign.config, setup, index, live);
         report.solved += 1;
         report.solve_time += solved.record.solve_time;
         report.counters.add(&solved.counters);
