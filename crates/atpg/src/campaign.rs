@@ -7,9 +7,8 @@
 
 use std::time::{Duration, Instant};
 
-use atpg_easy_cnf::circuit;
 use atpg_easy_netlist::sim::PatternBlock;
-use atpg_easy_netlist::Netlist;
+use atpg_easy_netlist::{topo, GateId, Netlist};
 use atpg_easy_obs::{CountingProbe, InstanceTrace, NoProbe};
 use atpg_easy_sat::{
     CachingBacktracking, Cdcl, Dpll, Limits, Outcome, SimpleBacktracking, Solver, SolverStats,
@@ -397,14 +396,16 @@ fn build_driver(
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Builds, encodes and solves the ATPG-SAT instance for one fault.
+/// Encodes the ATPG-SAT instance for one fault straight into CNF (no
+/// miter netlist) and solves it.
 ///
 /// Deterministic apart from the wall-clock `solve_time` field (and any
 /// wall-clock limit in `config.limits`): identical inputs produce an
-/// identical record. From-scratch campaign solves build their instances
-/// the same way.
+/// identical record. From-scratch campaign solves do the same.
 pub fn solve_one(nl: &Netlist, f: Fault, config: &AtpgConfig) -> FaultRecord {
-    solve_instance(nl, f, config, None, None)
+    let order = topo::topo_order(nl).expect("validated netlist");
+    let cone = topo::fanout_cone_gates(nl, &order, f.net);
+    solve_instance(nl, f, config, &order, &cone, None, None)
 }
 
 /// The Figure-1 outcome label of a fault record: `"SAT"`, `"UNSAT"`,
@@ -420,39 +421,37 @@ pub fn outcome_label(outcome: &FaultOutcome) -> &'static str {
     }
 }
 
-/// Builds, encodes and solves the ATPG-SAT instance for one fault from
-/// scratch, observing the solve through `probe` and logging it into the
-/// proof stream of `cert` (a [`Reset`](atpg_easy_proof::Event::Reset),
+/// Encodes ([`miter::encode`], from a topological `order` of `nl` and the
+/// fault net's fan-out `cone` in it) and solves one fault's ATPG-SAT
+/// instance from scratch, observing the solve through `probe` and logging
+/// it into the proof stream of `cert` (a [`Reset`](atpg_easy_proof::Event::Reset),
 /// the formula as axioms, and a `SolveBegin(index)`/`SolveEnd` bracket
 /// around the solver's derivations) when given.
 pub(crate) fn solve_instance(
     nl: &Netlist,
     f: Fault,
     config: &AtpgConfig,
+    order: &[GateId],
+    cone: &[GateId],
     probe: Option<&mut CountingProbe>,
     cert: Option<(usize, &mut StreamSink)>,
 ) -> FaultRecord {
-    let m = miter::build(nl, f);
-    let mut enc = circuit::encode(&m.circuit).expect("miter circuits encode cleanly");
-    if config.activation_clause {
-        if let Some(clause) = miter::activation_clause(&m, &enc) {
-            enc.formula.add_clause(clause);
-        }
-    }
+    let m = miter::encode(nl, f, order, cone, config.activation_clause);
+    let formula = &m.circuit;
     let mut solver = config.solver.make(config.limits);
     let started = Instant::now();
     let sol = match (probe, cert) {
-        (None, None) => solver.solve(&enc.formula),
-        (Some(p), None) => solver.solve_probed(&enc.formula, p),
+        (None, None) => solver.solve(formula),
+        (Some(p), None) => solver.solve_probed(formula, p),
         (probe, Some((index, sink))) => {
             sink.reset();
-            for clause in enc.formula.clauses() {
+            for clause in formula.clauses() {
                 sink.axiom(clause);
             }
             sink.begin_solve(index, &[]);
             let sol = match probe {
-                Some(p) => solver.solve_certified(&enc.formula, p, sink),
-                None => solver.solve_certified(&enc.formula, &mut NoProbe, sink),
+                Some(p) => solver.solve_certified(formula, p, sink),
+                None => solver.solve_certified(formula, &mut NoProbe, sink),
             };
             sink.end_solve(&sol.outcome);
             sol
@@ -461,7 +460,9 @@ pub(crate) fn solve_instance(
     let solve_time = started.elapsed();
     let outcome = match sol.outcome {
         Outcome::Sat(model) => {
-            let vector = m.extract_test(&enc, &model, nl);
+            let vector: Vec<bool> = (nl.inputs().iter())
+                .map(|pi| m.good_of[pi.index()].is_some_and(|v| model[v.index()]))
+                .collect();
             debug_assert!(verify::detects(nl, f, &vector), "model must be a test");
             FaultOutcome::Detected(vector)
         }
@@ -471,8 +472,8 @@ pub(crate) fn solve_instance(
     FaultRecord {
         fault: f,
         outcome,
-        sat_vars: enc.formula.num_vars(),
-        sat_clauses: enc.formula.num_clauses(),
+        sat_vars: formula.num_vars(),
+        sat_clauses: formula.num_clauses(),
         sub_size: m.sub_size(),
         solve_time,
         stats: sol.stats,

@@ -274,9 +274,10 @@ impl SolverContext {
         let mut probe = CountingProbe::default();
         let counting = self.counted.then_some(&mut probe);
         let cert = self.sink.as_mut().map(|s| (index, s));
+        let (order, cone) = (setup.fs.order(), setup.fs.cone(f.net));
         let record = match self.warm.as_mut() {
-            Some(warm) => warm.solve_fault_with(f, config, counting, cert),
-            None => campaign::solve_instance(nl, f, config, counting, cert),
+            Some(warm) => warm.solve_fault_with(f, config, cone, counting, cert),
+            None => campaign::solve_instance(nl, f, config, order, cone, counting, cert),
         };
         let proof_bytes = self
             .sink

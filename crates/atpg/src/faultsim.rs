@@ -18,7 +18,7 @@
 
 use atpg_easy_netlist::{
     sim::{Lanes, PatternBlock, Simulator},
-    NetId, Netlist,
+    GateId, NetId, Netlist,
 };
 
 use crate::Fault;
@@ -56,7 +56,7 @@ pub(crate) struct LaneBuffers<W> {
 #[derive(Debug, Clone)]
 struct ConeArena {
     start: Vec<usize>,
-    gates: Vec<atpg_easy_netlist::GateId>,
+    gates: Vec<GateId>,
 }
 
 impl ConeArena {
@@ -64,7 +64,7 @@ impl ConeArena {
     /// but computes the fan-out adjacency once and reuses one marker
     /// buffer, so the whole arena costs O(nets × gates) with no per-net
     /// allocation churn.
-    fn build(nl: &Netlist, order: &[atpg_easy_netlist::GateId]) -> Self {
+    fn build(nl: &Netlist, order: &[GateId]) -> Self {
         let fanouts = nl.fanouts();
         let num_nets = nl.num_nets();
         let mut start = Vec::with_capacity(num_nets + 1);
@@ -101,7 +101,7 @@ impl ConeArena {
         ConeArena { start, gates }
     }
 
-    fn cone(&self, net: NetId) -> &[atpg_easy_netlist::GateId] {
+    fn cone(&self, net: NetId) -> &[GateId] {
         &self.gates[self.start[net.index()]..self.start[net.index() + 1]]
     }
 }
@@ -149,6 +149,17 @@ impl FaultSimulator {
     /// Whether this simulator carries the precomputed cone arena.
     pub fn has_cones(&self) -> bool {
         self.cones.is_some()
+    }
+
+    /// The topological gate order the simulator sweeps.
+    pub(crate) fn order(&self) -> &[GateId] {
+        self.sim.order()
+    }
+
+    /// The fan-out cone gates of `net`, in [`Self::order`]. Panics unless
+    /// the simulator was built [`Self::with_cones`].
+    pub(crate) fn cone(&self, net: NetId) -> &[GateId] {
+        self.cones.as_ref().expect("built with_cones").cone(net)
     }
 
     /// Good-circuit net values for [`Lanes::PATTERNS`] parallel patterns.
@@ -212,16 +223,13 @@ impl FaultSimulator {
         scratch: &mut [W],
         fault: Fault,
     ) -> W {
-        let cones = self
-            .cones
-            .as_ref()
-            .expect("detect_mask_cone requires FaultSimulator::with_cones");
+        let cone = self.cone(fault.net);
         let stuck = stuck_word(fault);
         if good[fault.net.index()] == stuck {
             return W::ZERO;
         }
         self.sim
-            .resim_cone_forced(nl, good, scratch, fault.net, stuck, cones.cone(fault.net))
+            .resim_cone_forced(nl, good, scratch, fault.net, stuck, cone)
     }
 
     /// Simulates one batch of up to 64 vectors against a fault list,

@@ -4,20 +4,20 @@
 //!
 //! This is the MiniSat-style incremental interface applied to the TEGUS
 //! loop. The from-scratch path
-//! ([`campaign::solve_one`](crate::campaign::solve_one)) builds a miter
-//! netlist and a fresh CNF per fault; this path instead keeps one
-//! [`IncrementalCdcl`] alive across the whole fault list:
+//! ([`campaign::solve_one`](crate::campaign::solve_one)) encodes a fresh
+//! CNF per fault; this path instead keeps one [`IncrementalCdcl`] alive
+//! across the whole fault list:
 //!
 //! - The **base** is `encode_consistency` of the fault-free circuit —
 //!   variable `i` is net `i`, exactly the paper's CIRCUIT-SAT variable
 //!   correspondence. It is loaded into the solver once per campaign.
 //! - Per fault `ψ(X, B)`, a fresh **activation literal** `a_ψ` guards
-//!   everything fault-specific: a faulty copy of the fan-out cone of `X`
-//!   (fresh variables, `X` clamped to `B`), XOR difference variables for
-//!   the affected outputs, the big-OR observability clause, and the
-//!   Larrabee activation unit (`X = ¬B` in the good circuit). Each such
-//!   clause is added as `(¬a_ψ ∨ clause)` and the instance is solved
-//!   under the single assumption `a_ψ`.
+//!   everything fault-specific: the miter's faulty-cone half, written by
+//!   the same code as a fresh instance's (the fan-out cone of `X` on fresh
+//!   variables with `X` clamped to `B`, the XORs of the affected outputs,
+//!   the big OR), and the Larrabee activation unit (`X = ¬B` in the good
+//!   circuit). Each such clause is added as `(¬a_ψ ∨ clause)` and the
+//!   instance is solved under the single assumption `a_ψ`.
 //! - After the verdict, the permanent unit `(¬a_ψ)` retires the fault's
 //!   clauses; they are satisfied forever and cost nothing but a watch.
 //!
@@ -37,13 +37,13 @@
 use std::time::Instant;
 
 use atpg_easy_cnf::{circuit, CnfFormula, Lit, Var};
-use atpg_easy_netlist::{topo, GateId, Netlist};
+use atpg_easy_netlist::{topo, GateId, NetId, Netlist};
 use atpg_easy_obs::{CountingProbe, NoProbe};
 use atpg_easy_sat::{IncrementalCdcl, Limits, Outcome};
 
 use crate::campaign::{AtpgConfig, FaultOutcome, FaultRecord};
 use crate::certify::StreamSink;
-use crate::{verify, Fault};
+use crate::{miter, verify, Fault};
 
 /// A persistent per-campaign (or per-worker) incremental ATPG solver.
 ///
@@ -133,7 +133,8 @@ impl IncrementalAtpg {
         config: &AtpgConfig,
         probe: Option<&mut CountingProbe>,
     ) -> FaultRecord {
-        self.solve_fault_with(f, config, probe, None)
+        let cone = topo::fanout_cone_gates(&self.nl, &self.order, f.net);
+        self.solve_fault_with(f, config, &cone, probe, None)
     }
 
     /// [`IncrementalAtpg::solve_fault`] with optional certification: with
@@ -148,12 +149,11 @@ impl IncrementalAtpg {
         &mut self,
         f: Fault,
         config: &AtpgConfig,
+        cone: &[GateId],
         probe: Option<&mut CountingProbe>,
         mut cert: Option<(usize, &mut StreamSink)>,
     ) -> FaultRecord {
-        let x = f.net;
-        let fo = topo::transitive_fanout(&self.nl, x);
-        let (sub, affected) = topo::fault_subcircuit_nets(&self.nl, x);
+        let (fo, sub) = miter::cone_nets(&self.nl, f.net, cone);
         let sub_size = sub.iter().filter(|&&b| b).count();
 
         let act = self.solver.new_var();
@@ -162,73 +162,23 @@ impl IncrementalAtpg {
 
         // Fault-specific clauses, built unguarded in a scratch formula
         // (which normalizes them), then attached with the ¬a_ψ guard.
-        let mut faulty_of: Vec<Option<Var>> = vec![None; self.nl.num_nets()];
-        let mut scratch;
-        if affected.is_empty() {
+        let mut scratch = CnfFormula::new(first_cone_var);
+        if self.nl.outputs().iter().any(|o| fo[o.index()]) {
+            // The miter's faulty-cone half over the base variables, then
+            // the Larrabee activation `X = ¬B` — guarded, unlike the
+            // from-scratch path's global unit.
+            let good = |n: NetId| Var::from_index(n.index());
+            miter::faulty_cone(&self.nl, f, cone, &fo, good, &mut scratch);
+            if config.activation_clause {
+                scratch.add_clause(vec![Lit::with_value(good(f.net), !f.stuck)]);
+            }
+            self.solver.grow_to(scratch.num_vars());
+        } else {
             // Unobservable fault: no output can differ, so the guarded
             // group is the empty disjunction — `a_ψ` alone is
             // contradictory, mirroring the Const0 miter of the
             // from-scratch path.
-            scratch = CnfFormula::new(self.solver.num_vars());
             scratch.add_clause(Vec::new());
-        } else {
-            for (id, _) in self.nl.nets() {
-                if fo[id.index()] {
-                    faulty_of[id.index()] = Some(self.solver.new_var());
-                }
-            }
-            let diff_vars: Vec<Var> = self
-                .nl
-                .outputs()
-                .iter()
-                .filter(|o| fo[o.index()])
-                .map(|_| self.solver.new_var())
-                .collect();
-            scratch = CnfFormula::new(self.solver.num_vars());
-            // Faulty X is the constant B.
-            let fx = faulty_of[x.index()].expect("x is in its own fan-out");
-            scratch.add_clause(vec![Lit::with_value(fx, f.stuck)]);
-            // Faulty fan-out cone: downstream gates read faulty variables
-            // where available, base (good) variables otherwise.
-            for &gid in &self.order {
-                let gate = self.nl.gate(gid);
-                let out = gate.output;
-                if out == x || !fo[out.index()] {
-                    continue;
-                }
-                let ins: Vec<Var> = gate
-                    .inputs
-                    .iter()
-                    .map(|&i| match faulty_of[i.index()] {
-                        Some(fv) => fv,
-                        None => Var::from_index(i.index()),
-                    })
-                    .collect();
-                let fout = faulty_of[out.index()].expect("fan-out cone is allocated");
-                circuit::gate_clauses(&mut scratch, gate.kind, &ins, fout)
-                    .expect("preflighted circuits have no wide XORs");
-            }
-            // XOR difference per affected output, then observability.
-            let mut d_iter = diff_vars.iter();
-            for &o in self.nl.outputs().iter().filter(|o| fo[o.index()]) {
-                let d = *d_iter.next().expect("one diff var per affected output");
-                let good = Var::from_index(o.index());
-                let faulty = faulty_of[o.index()].expect("affected outputs are in the cone");
-                circuit::gate_clauses(
-                    &mut scratch,
-                    atpg_easy_netlist::GateKind::Xor,
-                    &[good, faulty],
-                    d,
-                )
-                .expect("2-input XOR always encodes");
-            }
-            scratch.add_clause(diff_vars.iter().map(|&d| Lit::positive(d)).collect());
-            // Larrabee activation: X = ¬B in the good circuit — guarded,
-            // unlike the from-scratch path where it is a global unit of
-            // the per-fault formula.
-            if config.activation_clause {
-                scratch.add_clause(vec![Lit::with_value(Var::from_index(x.index()), !f.stuck)]);
-            }
         }
 
         let added = scratch.num_clauses();

@@ -8,7 +8,10 @@
 //!   equivalence collapsing ([`fault`]);
 //! - [`miter::build`]: the `C_ψ^ATPG` construction of the paper's Figure 3 —
 //!   the good subcircuit `C_ψ^sub`, the faulty fan-out cone `C_ψ^fo`, and a
-//!   pairwise XOR of the affected outputs;
+//!   pairwise XOR of the affected outputs. The construction is written
+//!   once: it makes this netlist, a fresh campaign instance's CNF (no
+//!   netlist in between) and, for its faulty-cone half, a warm solve's
+//!   guarded clauses;
 //! - [`faultsim`]: pattern-parallel fault simulation — 64 patterns per
 //!   word, 256 per pass in a campaign's random phase and in test-set
 //!   compaction ([`WIDE_PATTERNS`]) — used for fault dropping and for

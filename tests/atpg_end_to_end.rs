@@ -1,8 +1,8 @@
 //! End-to-end ATPG integration tests across generators, miter, solvers,
 //! fault simulation and verification.
 
-use atpg_easy::atpg::campaign::{run, AtpgConfig, FaultOutcome, SolverChoice};
-use atpg_easy::atpg::{fault, miter, verify, Fault};
+use atpg_easy::atpg::campaign::{self, run, AtpgConfig, FaultOutcome, SolverChoice};
+use atpg_easy::atpg::{fault, miter, verify, Fault, IncrementalAtpg};
 use atpg_easy::circuits::{adders, comparator, mux, parity, random, suite};
 use atpg_easy::cnf::circuit;
 use atpg_easy::netlist::{decompose, sim, Netlist};
@@ -28,6 +28,12 @@ fn detectable_exhaustive(nl: &Netlist, f: Fault) -> bool {
 
 #[test]
 fn miter_matches_exhaustive_on_random_circuits() {
+    // Every fault through three paths: the netlist miter, the fresh
+    // engine's CNF instance (`solve_one`) and the warm engine's guarded
+    // groups (one `IncrementalAtpg` per circuit, faults in list order).
+    // The engines share their construction code, so they are checked
+    // against exhaustive simulation, which shares nothing with them.
+    let config = AtpgConfig::default();
     for seed in 0..4 {
         let raw = random::generate(&random::RandomCircuitConfig {
             gates: 25,
@@ -37,19 +43,30 @@ fn miter_matches_exhaustive_on_random_circuits() {
         })
         .unwrap();
         let nl = decompose::decompose(&raw, 3).unwrap();
-        for (i, f) in fault::all_faults(&nl).into_iter().enumerate() {
-            if i % 5 != 0 {
-                continue; // sample every 5th fault to keep runtime sane
-            }
+        let mut warm = IncrementalAtpg::new(&nl, &config);
+        for f in fault::all_faults(&nl) {
+            let truth = detectable_exhaustive(&nl, f);
+            let at = format!("seed {seed}, fault {}", f.describe(&nl));
             let m = miter::build(&nl, f);
             let enc = circuit::encode(&m.circuit).unwrap();
-            let sat = Cdcl::new().solve(&enc.formula).outcome.is_sat();
-            assert_eq!(
-                sat,
-                detectable_exhaustive(&nl, f),
-                "seed {seed}, fault {}",
-                f.describe(&nl)
-            );
+            let outcome = Cdcl::new().solve(&enc.formula).outcome;
+            assert_eq!(outcome.is_sat(), truth, "miter: {at}");
+            if let Some(model) = outcome.model() {
+                let vector = m.extract_test(&enc, model, &nl);
+                assert!(verify::detects(&nl, f, &vector), "miter: {at}");
+            }
+            let fresh = campaign::solve_one(&nl, f, &config);
+            let warmed = warm.solve_fault(f, &config, None);
+            for (engine, record) in [("fresh", fresh), ("warm", warmed)] {
+                match &record.outcome {
+                    FaultOutcome::Detected(v) => {
+                        assert!(truth, "{engine}: {at} is untestable");
+                        assert!(verify::detects(&nl, f, v), "{engine}: {at}");
+                    }
+                    FaultOutcome::Untestable => assert!(!truth, "{engine}: {at} is testable"),
+                    other => panic!("{engine}: {at}: {other:?}"),
+                }
+            }
         }
     }
 }
