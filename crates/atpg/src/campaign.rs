@@ -59,7 +59,9 @@ pub struct AtpgConfig {
     /// Collapse structurally equivalent faults first.
     pub collapse: bool,
     /// Additionally drop dominance-collapsed faults (implies `collapse`);
-    /// shrinks the target list further while preserving coverage.
+    /// shrinks the target list further. Coverage is preserved when no
+    /// kept dominating fault is redundant
+    /// ([`collapse_with_dominance`](crate::fault::collapse_with_dominance)).
     pub dominance: bool,
     /// Random patterns simulated before any SAT call (0 disables); easy
     /// faults are retired without generating a SAT instance.
@@ -484,7 +486,32 @@ pub(crate) fn solve_instance(
 mod tests {
     use super::*;
     use crate::fault;
+    use crate::faultsim::pack_vectors;
     use atpg_easy_netlist::parser::bench;
+
+    /// Per fault, whether any of `vectors` detects it, by the
+    /// whole-circuit sweep [`FaultSimulator::detect_mask_full`], 64
+    /// vectors at a time (patterns past the last vector of a chunk
+    /// simulate the all-zero vector, as in
+    /// [`FaultSimulator::detect_batch_with`]). It shares no code with the
+    /// cone path that compaction and fault dropping use, so it is their
+    /// coverage oracle.
+    pub(super) fn detected_by_full_sweep(
+        nl: &Netlist,
+        vectors: &[Vec<bool>],
+        faults: &[Fault],
+    ) -> Vec<bool> {
+        let fs = FaultSimulator::with_cones(nl);
+        let mut det = vec![false; faults.len()];
+        for chunk in vectors.chunks(64) {
+            let words: Vec<u64> = pack_vectors(nl, chunk);
+            let good = fs.good_values(nl, &words);
+            for (d, &f) in det.iter_mut().zip(faults) {
+                *d |= fs.detect_mask_full(nl, &words, &good, f) != 0;
+            }
+        }
+        det
+    }
 
     fn c17() -> Netlist {
         bench::parse(
@@ -612,14 +639,7 @@ mod tests {
         assert!(dom.records.len() < plain.records.len());
         assert!((dom.coverage() - 1.0).abs() < 1e-9);
         // The dominance-collapsed test set still covers every fault.
-        let all = fault::all_faults(&nl);
-        let fs = crate::faultsim::FaultSimulator::new(&nl);
-        let mut det = vec![false; all.len()];
-        for chunk in dom.tests.chunks(64) {
-            for (i, hit) in fs.detect_batch(&nl, chunk, &all).into_iter().enumerate() {
-                det[i] |= hit;
-            }
-        }
+        let det = detected_by_full_sweep(&nl, &dom.tests, &fault::all_faults(&nl));
         // Every *testable* fault is detected (c17 has no redundant faults).
         assert!(det.iter().all(|&d| d), "full coverage from dominance set");
     }
@@ -862,6 +882,7 @@ fn newest_lane(mask: &PatternBlock, lanes: usize) -> Option<usize> {
 
 #[cfg(test)]
 mod compaction_tests {
+    use super::tests::detected_by_full_sweep;
     use super::*;
     use crate::fault;
     use atpg_easy_circuits::suite;
@@ -1013,26 +1034,13 @@ mod compaction_tests {
         let compact = compact_tests(&nl, &res.tests, &faults);
         assert!(compact.len() <= res.tests.len());
         // Coverage after compaction is unchanged.
-        let fs = crate::faultsim::FaultSimulator::new(&nl);
-        let full: usize = {
-            let mut det = vec![false; faults.len()];
-            for chunk in res.tests.chunks(64) {
-                for (i, d) in fs.detect_batch(&nl, chunk, &faults).into_iter().enumerate() {
-                    det[i] |= d;
-                }
-            }
-            det.iter().filter(|&&d| d).count()
+        let covered = |tests: &[Vec<bool>]| -> usize {
+            detected_by_full_sweep(&nl, tests, &faults)
+                .iter()
+                .filter(|&&d| d)
+                .count()
         };
-        let reduced: usize = {
-            let mut det = vec![false; faults.len()];
-            for chunk in compact.chunks(64) {
-                for (i, d) in fs.detect_batch(&nl, chunk, &faults).into_iter().enumerate() {
-                    det[i] |= d;
-                }
-            }
-            det.iter().filter(|&&d| d).count()
-        };
-        assert_eq!(full, reduced);
+        assert_eq!(covered(&res.tests), covered(&compact));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`StreamSink`] adapts the solver-side [`ProofSink`] interface to the
 //! campaign proof-stream format of `atpg-easy-proof`
-//! ([`Event`](atpg_easy_proof::Event)): the campaign records axioms (the
+//! ([`Event`]): the campaign records axioms (the
 //! encoder's clauses, *before* any solver-side normalization) and
 //! `SolveBegin`/`SolveEnd` brackets, while the solver pushes its
 //! derivations, deletions and models through the `ProofSink` methods.

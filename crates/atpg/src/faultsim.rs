@@ -15,6 +15,10 @@
 //! random-pattern fault dropping costs one cone resimulation per 256
 //! patterns. Both reuse caller-owned [`SimBuffers`], eliminating
 //! per-call allocation on the campaign hot path.
+//!
+//! Faulty resimulation walks only the fault net's fan-out cone;
+//! [`FaultSimulator::detect_mask_full`], a whole-circuit sweep, is kept
+//! as its oracle for tests and benches.
 
 use atpg_easy_netlist::{
     sim::{Lanes, PatternBlock, Simulator},
@@ -106,33 +110,18 @@ impl ConeArena {
     }
 }
 
-/// A reusable fault simulator for one circuit.
+/// A reusable, cone-limited fault simulator for one circuit.
 #[derive(Debug, Clone)]
 pub struct FaultSimulator {
     sim: Simulator,
-    cones: Option<ConeArena>,
+    cones: ConeArena,
 }
 
 impl FaultSimulator {
-    /// Prepares the simulator (topological sort happens once). Faulty
-    /// resimulation sweeps the whole circuit per fault; use
-    /// [`Self::with_cones`] for campaigns with many faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist is cyclic.
-    pub fn new(nl: &Netlist) -> Self {
-        FaultSimulator {
-            sim: Simulator::new(nl),
-            cones: None,
-        }
-    }
-
-    /// Like [`Self::new`] but additionally precomputes the fan-out cone of
-    /// every net, so faulty resimulation visits only the gates a fault can
-    /// influence instead of the whole circuit. The precomputation costs
-    /// O(nets × gates) once; campaigns amortize it over every
-    /// (test vector, fault) pair simulated for fault dropping.
+    /// Prepares the simulator: sorts the gates once and precomputes the
+    /// fan-out cone of every net. The precomputation costs O(nets × gates)
+    /// once; campaigns amortize it over every (test vector, fault) pair
+    /// simulated for fault dropping.
     ///
     /// # Panics
     ///
@@ -140,15 +129,7 @@ impl FaultSimulator {
     pub fn with_cones(nl: &Netlist) -> Self {
         let sim = Simulator::new(nl);
         let cones = ConeArena::build(nl, sim.order());
-        FaultSimulator {
-            sim,
-            cones: Some(cones),
-        }
-    }
-
-    /// Whether this simulator carries the precomputed cone arena.
-    pub fn has_cones(&self) -> bool {
-        self.cones.is_some()
+        FaultSimulator { sim, cones }
     }
 
     /// The topological gate order the simulator sweeps.
@@ -156,10 +137,9 @@ impl FaultSimulator {
         self.sim.order()
     }
 
-    /// The fan-out cone gates of `net`, in [`Self::order`]. Panics unless
-    /// the simulator was built [`Self::with_cones`].
+    /// The fan-out cone gates of `net`, in [`Self::order`].
     pub(crate) fn cone(&self, net: NetId) -> &[GateId] {
-        self.cones.as_ref().expect("built with_cones").cone(net)
+        self.cones.cone(net)
     }
 
     /// Good-circuit net values for [`Lanes::PATTERNS`] parallel patterns.
@@ -167,29 +147,9 @@ impl FaultSimulator {
         self.sim.run(nl, inputs)
     }
 
-    /// Bitmask of patterns in which `fault` is detected, given the
-    /// precomputed good values for the same `inputs`.
-    ///
-    /// Dispatches to the cone-limited path when the simulator was built
-    /// with [`Self::with_cones`]; otherwise resimulates the whole circuit.
-    /// `scratch` must equal `good` on entry and is restored on return (it
-    /// is only used by the cone path).
-    pub fn detect_mask<W: Lanes>(
-        &self,
-        nl: &Netlist,
-        inputs: &[W],
-        good: &[W],
-        scratch: &mut [W],
-        fault: Fault,
-    ) -> W {
-        match &self.cones {
-            Some(_) => self.detect_mask_cone(nl, good, scratch, fault),
-            None => self.detect_mask_full(nl, inputs, good, fault),
-        }
-    }
-
     /// Whole-circuit reference path: resimulates every gate with the fault
-    /// net forced. Kept alongside the cone path as the equivalence oracle.
+    /// net forced. No campaign calls it; it is the equivalence oracle for
+    /// [`Self::detect_mask_cone`].
     pub fn detect_mask_full<W: Lanes>(
         &self,
         nl: &Netlist,
@@ -209,13 +169,9 @@ impl FaultSimulator {
         })
     }
 
-    /// Cone-limited path: re-evaluates only the fault net's fan-out cone.
-    /// `scratch` must equal `good` on entry; it is restored before
-    /// returning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulator was not built with [`Self::with_cones`].
+    /// Bitmask of the patterns that detect `fault`: re-evaluates only the
+    /// fault net's fan-out cone. `scratch` must equal `good` on entry; it
+    /// is restored before returning.
     pub fn detect_mask_cone<W: Lanes>(
         &self,
         nl: &Netlist,
@@ -233,30 +189,18 @@ impl FaultSimulator {
     }
 
     /// Simulates one batch of up to 64 vectors against a fault list,
-    /// returning (per fault) whether it is detected by any pattern.
+    /// returning (per fault) whether it is detected by any pattern. Every
+    /// per-net buffer comes from `bufs`, so a loop that reuses one
+    /// [`SimBuffers`] across batches performs no per-call allocation.
     ///
-    /// `vectors` holds one `Vec<bool>` per pattern (at most 64). Patterns
-    /// past the last vector simulate the all-zero input vector, and what
-    /// it detects counts as detected.
+    /// `vectors` holds one `Vec<bool>` per pattern (at most 64), riding
+    /// one `u64` word per net. Patterns past the last vector simulate the
+    /// all-zero input vector, and what it detects counts as detected.
     ///
     /// # Panics
     ///
     /// Panics if more than 64 vectors are supplied or a vector has the
     /// wrong width.
-    pub fn detect_batch(&self, nl: &Netlist, vectors: &[Vec<bool>], faults: &[Fault]) -> Vec<bool> {
-        self.detect_batch_with(nl, vectors, faults, &mut SimBuffers::default())
-    }
-
-    /// [`Self::detect_batch`] with caller-owned scratch: every per-net
-    /// buffer comes from `bufs`, so a loop that reuses one [`SimBuffers`]
-    /// across batches performs no per-call allocation. Results are
-    /// identical to [`Self::detect_batch`]. The batch rides one `u64`
-    /// word per net: patterns past the last vector simulate the all-zero
-    /// input vector, and what it detects counts as detected.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::detect_batch`].
     pub fn detect_batch_with(
         &self,
         nl: &Netlist,
@@ -269,12 +213,10 @@ impl FaultSimulator {
 
     /// Simulates one batch of up to [`WIDE_PATTERNS`] (256) vectors
     /// against a fault list in a **single** block-parallel pass,
-    /// returning (per fault) whether any pattern detects it. With
-    /// precomputed cones ([`Self::with_cones`]) each fault costs one
-    /// cone resimulation for all 256 patterns; without cones, one
-    /// whole-circuit sweep (the reference path). Patterns past the last
-    /// vector simulate the all-zero input vector, and what it detects
-    /// counts as detected.
+    /// returning (per fault) whether any pattern detects it. Each fault
+    /// costs one cone resimulation for all 256 patterns. Patterns past
+    /// the last vector simulate the all-zero input vector, and what it
+    /// detects counts as detected.
     ///
     /// # Panics
     ///
@@ -306,12 +248,12 @@ impl FaultSimulator {
         self.sim.run_into(nl, &bufs.inputs, &mut bufs.good);
         bufs.scratch.clear();
         bufs.scratch.extend_from_slice(&bufs.good);
-        let (inputs, good, scratch) = (&bufs.inputs, &bufs.good, &mut bufs.scratch);
+        let (good, scratch) = (&bufs.good, &mut bufs.scratch);
         bufs.masks.clear();
         bufs.masks.extend(
             faults
                 .into_iter()
-                .map(|f| self.detect_mask(nl, inputs, good, scratch, f)),
+                .map(|f| self.detect_mask_cone(nl, good, scratch, f)),
         );
         &bufs.masks
     }
@@ -391,7 +333,7 @@ mod tests {
     #[test]
     fn mask_agrees_with_single_vector_verify() {
         let nl = xor_chain();
-        let fs = FaultSimulator::new(&nl);
+        let fs = FaultSimulator::with_cones(&nl);
         let vectors: Vec<Vec<bool>> = (0..8u32)
             .map(|m| (0..3).map(|i| m >> i & 1 != 0).collect())
             .collect();
@@ -399,7 +341,7 @@ mod tests {
         let good = fs.good_values(&nl, &words);
         let mut scratch = good.clone();
         for fault in all_faults(&nl) {
-            let mask = fs.detect_mask(&nl, &words, &good, &mut scratch, fault);
+            let mask = fs.detect_mask_cone(&nl, &good, &mut scratch, fault);
             for (p, v) in vectors.iter().enumerate() {
                 assert_eq!(
                     mask >> p & 1 != 0,
@@ -414,20 +356,17 @@ mod tests {
     #[test]
     fn cone_path_agrees_with_full_path() {
         let nl = xor_chain();
-        let fast = FaultSimulator::with_cones(&nl);
-        let slow = FaultSimulator::new(&nl);
-        assert!(fast.has_cones());
-        assert!(!slow.has_cones());
+        let fs = FaultSimulator::with_cones(&nl);
         let vectors: Vec<Vec<bool>> = (0..8u32)
             .map(|m| (0..3).map(|i| m >> i & 1 != 0).collect())
             .collect();
         let words: Vec<u64> = pack_vectors(&nl, &vectors);
-        let good = fast.good_values(&nl, &words);
+        let good = fs.good_values(&nl, &words);
         let mut scratch = good.clone();
         for fault in all_faults(&nl) {
             assert_eq!(
-                fast.detect_mask_cone(&nl, &good, &mut scratch, fault),
-                slow.detect_mask_full(&nl, &words, &good, fault),
+                fs.detect_mask_cone(&nl, &good, &mut scratch, fault),
+                fs.detect_mask_full(&nl, &words, &good, fault),
                 "fault {}",
                 fault.describe(&nl)
             );
@@ -444,11 +383,11 @@ mod tests {
     fn xor_chain_every_fault_detected_by_some_pattern() {
         // XOR circuits propagate everything; all faults detectable.
         let nl = xor_chain();
-        let fs = FaultSimulator::new(&nl);
+        let fs = FaultSimulator::with_cones(&nl);
         let vectors: Vec<Vec<bool>> = (0..8u32)
             .map(|m| (0..3).map(|i| m >> i & 1 != 0).collect())
             .collect();
-        let det = fs.detect_batch(&nl, &vectors, &all_faults(&nl));
+        let det = fs.detect_batch_with(&nl, &vectors, &all_faults(&nl), &mut SimBuffers::default());
         assert!(det.iter().all(|&d| d));
     }
 
@@ -460,9 +399,14 @@ mod tests {
         let k = nl.add_gate_named(GateKind::Const1, vec![], "k").unwrap();
         let y = nl.add_gate_named(GateKind::And, vec![a, k], "y").unwrap();
         nl.add_output(y);
-        let fs = FaultSimulator::new(&nl);
+        let fs = FaultSimulator::with_cones(&nl);
         let vectors = vec![vec![false], vec![true]];
-        let det = fs.detect_batch(&nl, &vectors, &[Fault::stuck_at_1(k)]);
+        let det = fs.detect_batch_with(
+            &nl,
+            &vectors,
+            &[Fault::stuck_at_1(k)],
+            &mut SimBuffers::default(),
+        );
         assert_eq!(det, vec![false]);
     }
 
@@ -470,9 +414,9 @@ mod tests {
     #[should_panic(expected = "at most 64")]
     fn too_many_vectors_panics() {
         let nl = xor_chain();
-        let fs = FaultSimulator::new(&nl);
+        let fs = FaultSimulator::with_cones(&nl);
         let vectors = vec![vec![false; 3]; 65];
-        fs.detect_batch(&nl, &vectors, &[]);
+        fs.detect_batch_with(&nl, &vectors, &[], &mut SimBuffers::default());
     }
 
     #[test]
@@ -498,9 +442,13 @@ mod tests {
             }
         }
         assert_eq!(wide, narrow, "256-wide and 4x64-wide dropping agree");
-        // The no-cone whole-circuit reference path agrees too.
-        let slow = FaultSimulator::new(&nl);
-        let reference = slow.detect_batch_wide(&nl, &vectors, &faults, &mut bufs);
+        // The whole-circuit reference path agrees too.
+        let blocks: Vec<PatternBlock> = pack_vectors(&nl, &vectors);
+        let good = fs.good_values(&nl, &blocks);
+        let reference: Vec<bool> = faults
+            .iter()
+            .map(|&f| fs.detect_mask_full(&nl, &blocks, &good, f) != PatternBlock::ZERO)
+            .collect();
         assert_eq!(wide, reference);
     }
 
@@ -517,7 +465,8 @@ mod tests {
         let good_ptr = bufs.words.good.as_ptr();
         let second = fs.detect_batch_with(&nl, &vectors, &faults, &mut bufs);
         assert_eq!(first, second);
-        assert_eq!(first, fs.detect_batch(&nl, &vectors, &faults));
+        let fresh = fs.detect_batch_with(&nl, &vectors, &faults, &mut SimBuffers::default());
+        assert_eq!(first, fresh);
         assert_eq!(good_ptr, bufs.words.good.as_ptr(), "good buffer is reused");
     }
 

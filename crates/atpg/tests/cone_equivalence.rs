@@ -21,15 +21,14 @@ fn random_vectors(nl: &Netlist, rng: &mut StdRng, count: usize) -> Vec<Vec<bool>
 }
 
 fn check_circuit<W: Lanes>(name: &str, nl: &Netlist, rng: &mut StdRng) {
-    let fast = FaultSimulator::with_cones(nl);
-    let slow = FaultSimulator::new(nl);
+    let fs = FaultSimulator::with_cones(nl);
     let vectors = random_vectors(nl, rng, W::PATTERNS);
     let words: Vec<W> = pack_vectors(nl, &vectors);
-    let good = fast.good_values(nl, &words);
+    let good = fs.good_values(nl, &words);
     let mut scratch = good.clone();
     for f in fault::collapse(nl) {
-        let cone = fast.detect_mask_cone(nl, &good, &mut scratch, f);
-        let full = slow.detect_mask_full(nl, &words, &good, f);
+        let cone = fs.detect_mask_cone(nl, &good, &mut scratch, f);
+        let full = fs.detect_mask_full(nl, &words, &good, f);
         assert_eq!(
             cone,
             full,

@@ -1,11 +1,11 @@
 //! Criterion bench: 64-pattern-parallel fault simulation (the fault-
-//! dropping engine behind the campaign loop), and the campaign layers
-//! built on it: the setup with its random-pattern phase, and test-set
-//! compaction.
+//! dropping engine behind the campaign loop) against its whole-circuit
+//! reference, and the campaign layers built on it: the setup with its
+//! random-pattern phase, and test-set compaction.
 
 use atpg_easy_atpg::campaign::{self, AtpgConfig, FaultOutcome};
 use atpg_easy_atpg::fault::all_faults;
-use atpg_easy_atpg::faultsim::FaultSimulator;
+use atpg_easy_atpg::faultsim::{pack_vectors, FaultSimulator, SimBuffers};
 use atpg_easy_atpg::{CampaignDriver, Fault};
 use atpg_easy_circuits::{alu, multiplier, suite};
 use atpg_easy_netlist::{decompose, sim::Simulator};
@@ -19,8 +19,7 @@ fn bench_faultsim(c: &mut Criterion) {
         ("mul4", multiplier::array_multiplier(4)),
     ] {
         let nl = decompose::decompose(&raw, 3).expect("decomposes");
-        let fs = FaultSimulator::new(&nl);
-        let fs_cones = FaultSimulator::with_cones(&nl);
+        let fs = FaultSimulator::with_cones(&nl);
         let faults = all_faults(&nl);
         let vectors: Vec<Vec<bool>> = (0..64u64)
             .map(|p| {
@@ -29,11 +28,25 @@ fn bench_faultsim(c: &mut Criterion) {
                     .collect()
             })
             .collect();
+        // Both variants pack, simulate the good circuit and allocate
+        // their buffers per batch; they differ only in the faulty
+        // resimulation (every gate, or the fault's fan-out cone).
         group.bench_function(format!("{name}_64pat_{}faults_full", faults.len()), |b| {
-            b.iter(|| black_box(fs.detect_batch(&nl, &vectors, &faults)))
+            b.iter(|| {
+                let words: Vec<u64> = pack_vectors(&nl, &vectors);
+                let good = fs.good_values(&nl, &words);
+                let detected: Vec<bool> = faults
+                    .iter()
+                    .map(|&f| fs.detect_mask_full(&nl, &words, &good, f) != 0)
+                    .collect();
+                black_box(detected)
+            })
         });
         group.bench_function(format!("{name}_64pat_{}faults_cone", faults.len()), |b| {
-            b.iter(|| black_box(fs_cones.detect_batch(&nl, &vectors, &faults)))
+            b.iter(|| {
+                let mut bufs = SimBuffers::default();
+                black_box(fs.detect_batch_with(&nl, &vectors, &faults, &mut bufs))
+            })
         });
     }
     group.finish();

@@ -25,12 +25,30 @@
 //! fails the run if the 4-thread speedup lands below `X` — for CI
 //! runners with enough cores; meaningless on a 1-CPU host.
 
+use std::num::{NonZeroUsize, ParseIntError};
+use std::str::FromStr;
 use std::time::Duration;
 
 use atpg_easy_atpg::parallel::AtpgCampaign;
 use atpg_easy_atpg::AtpgConfig;
 use atpg_easy_bench::{flag, has_flag, parse_args, resolve_suite};
 use atpg_easy_core::report::{ScalingReport, ScalingRun};
+
+/// The `--threads` value: a comma-separated, non-empty list of positive
+/// thread counts. An empty entry, a 0 or a non-number fails the parse,
+/// so [`flag`] stops the run with a usage error.
+struct ThreadCounts(Vec<usize>);
+
+impl FromStr for ThreadCounts {
+    type Err = ParseIntError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        s.split(',')
+            .map(|t| t.trim().parse().map(NonZeroUsize::get))
+            .collect::<Result<_, _>>()
+            .map(ThreadCounts)
+    }
+}
 
 fn main() {
     let (pos, flags) = parse_args(std::env::args().skip(1));
@@ -42,11 +60,8 @@ fn main() {
         );
         std::process::exit(2);
     };
-    let thread_counts: Vec<usize> = flag::<String>(&flags, "threads")
-        .unwrap_or_else(|| "1,2,4,8".to_string())
-        .split(',')
-        .filter_map(|t| t.trim().parse().ok())
-        .collect();
+    let thread_counts =
+        flag::<ThreadCounts>(&flags, "threads").map_or_else(|| vec![1, 2, 4, 8], |t| t.0);
     let patterns: usize = flag(&flags, "patterns").unwrap_or(64);
     let window: usize = flag(&flags, "window").unwrap_or(16);
     let incremental = has_flag(&flags, "incremental");
@@ -206,5 +221,20 @@ fn main() {
             "4-thread speedup {got:.2}x below required {min:.2}x on a {host_cpus}-CPU host"
         );
         println!("4-thread speedup {got:.2}x >= {min:.2}x — ok");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn thread_lists_reject_empty_zero_and_non_numeric_entries() {
+        let parse = |v: &str| v.parse::<ThreadCounts>().ok().map(|t| t.0);
+        assert_eq!(parse("1,2,4"), Some(vec![1, 2, 4]));
+        assert_eq!(parse(" 1, 8 "), Some(vec![1, 8]));
+        for bad in ["1,x", "0", "1,0", "", "1,,2"] {
+            assert_eq!(parse(bad), None, "{bad:?}");
+        }
     }
 }

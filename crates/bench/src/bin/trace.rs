@@ -1,6 +1,7 @@
 //! Runs a traced ATPG campaign over a benchmark suite and streams the
-//! per-instance telemetry through the obs sinks: JSONL, Figure-1 CSV,
-//! and the in-process percentile summarizer.
+//! per-instance telemetry through the obs sinks (JSONL and the
+//! in-process percentile summarizer), optionally writing the Figure-1
+//! CSV that `core::report::figure1_csv` renders from the parsed JSONL.
 //!
 //! ```text
 //! cargo run -p atpg-easy-bench --release --bin trace -- [mcnc|iscas|all|mult]
@@ -23,7 +24,7 @@ use atpg_easy_core::report::{fig1_points_from_traces, figure1_csv};
 use atpg_easy_cutwidth::mla::{self, MlaConfig};
 use atpg_easy_netlist::decompose;
 use atpg_easy_obs::{
-    parse_jsonl, CampaignMeta, CsvSink, InstanceTrace, JsonlSink, SummarySink, TraceLine, TraceSink,
+    parse_jsonl, CampaignMeta, InstanceTrace, JsonlSink, SummarySink, TraceLine, TraceSink,
 };
 
 fn main() -> ExitCode {
@@ -166,17 +167,7 @@ fn main() -> ExitCode {
         println!("(trace written to {path})");
     }
     if let Some(path) = &csv_path {
-        let mut csv = CsvSink::new(Vec::new());
-        for t in &traces {
-            csv.instance(t).expect("writing to a Vec cannot fail");
-        }
-        let bytes = csv.into_inner();
-        debug_assert_eq!(
-            String::from_utf8_lossy(&bytes),
-            figure1_csv(&fig1_points_from_traces(&traces)),
-            "CsvSink and core::report::figure1_csv must agree byte-for-byte"
-        );
-        std::fs::write(path, bytes).expect("csv path writable");
+        std::fs::write(path, figure1_csv(&points)).expect("csv path writable");
         println!("(Figure-1 CSV written to {path})");
     }
     ExitCode::SUCCESS

@@ -2,10 +2,13 @@
 //! the paper's figures (see DESIGN.md's experiment index).
 //!
 //! Each binary accepts a suite argument (`mcnc`, `iscas`, `all`) and
-//! simple `--key value` flags; run with `--help` for usage. Results are
+//! simple `--key value` flags; run with `--help` for usage. A flag value
+//! that does not parse stops the binary with exit status 2. Results are
 //! printed as plain-text tables — the same rows/series the paper plots.
 
 #![forbid(unsafe_code)]
+
+use std::str::FromStr;
 
 use atpg_easy_circuits::suite::{self, NamedCircuit};
 
@@ -51,12 +54,26 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> (Vec<String>, Vec<(Stri
     (positional, flags)
 }
 
-/// Looks up a flag value and parses it.
-pub fn flag<T: std::str::FromStr>(flags: &[(String, String)], key: &str) -> Option<T> {
-    flags
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.parse().ok())
+/// Looks up a flag value and parses it; `None` if the flag is absent. A
+/// value that does not parse is a usage error: the message names the
+/// flag and the value, and the process exits with status 2.
+pub fn flag<T: FromStr>(flags: &[(String, String)], key: &str) -> Option<T> {
+    parse_flag(flags, key).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2)
+    })
+}
+
+/// The parsed value of `--key`: `Ok(None)` if the flag is absent, an
+/// error naming the flag and the value if the value does not parse.
+fn parse_flag<T: FromStr>(flags: &[(String, String)], key: &str) -> Result<Option<T>, String> {
+    match flags.iter().find(|(k, _)| k == key) {
+        None => Ok(None),
+        Some((_, v)) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("invalid value '{v}' for --{key}")),
+    }
 }
 
 /// Whether a flag was passed at all (with or without a value).
@@ -88,6 +105,26 @@ mod tests {
         assert_eq!(flag::<usize>(&flags, "missing"), None);
         assert!(has_flag(&flags, "fast"));
         assert!(!has_flag(&flags, "missing"));
+    }
+
+    fn flags_of(args: &[&str]) -> Vec<(String, String)> {
+        parse_args(args.iter().map(|s| s.to_string())).1
+    }
+
+    #[test]
+    fn malformed_values_are_errors_naming_the_flag() {
+        let flags = flags_of(&["--assert-speedup", "1,8", "--ratio", "1.8", "--out"]);
+        assert_eq!(
+            parse_flag::<f64>(&flags, "assert-speedup"),
+            Err("invalid value '1,8' for --assert-speedup".to_string())
+        );
+        assert_eq!(parse_flag::<f64>(&flags, "ratio"), Ok(Some(1.8)));
+        // A numeric flag given no value is malformed too.
+        assert_eq!(
+            parse_flag::<usize>(&flags, "out"),
+            Err("invalid value '' for --out".to_string())
+        );
+        assert_eq!(parse_flag::<f64>(&flags, "missing"), Ok(None));
     }
 
     #[test]

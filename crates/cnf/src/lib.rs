@@ -34,7 +34,6 @@ mod formula;
 pub mod horn;
 mod lit;
 pub mod params;
-pub mod simplify;
 
 pub use circuit::{encode, CircuitSatEncoding};
 pub use formula::CnfFormula;

@@ -1,6 +1,6 @@
 //! `S*` passes: static analysis of the workspace's own Rust source.
 //!
-//! The parallel campaign engine ([`atpg::parallel`]) is lock-free code:
+//! The parallel campaign engine (`atpg::parallel`) is lock-free code:
 //! its correctness rests on atomic-ordering choices that the compiler
 //! cannot check. These passes make the *justifications* for those
 //! choices machine-checkable conventions instead of tribal knowledge:

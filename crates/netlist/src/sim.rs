@@ -99,7 +99,7 @@ impl Simulator {
     /// `scratch` must be equal to `good` on entry. The net `forced` is set
     /// to `forced_value` and only the gates in `cone` — the topologically
     /// ordered fan-out cone from
-    /// [`topo::fanout_cone_gates`](crate::topo::fanout_cone_gates) — are
+    /// [`topo::fanout_cone_gates`] — are
     /// re-evaluated. This is sound because every net outside the cone is
     /// unreachable from the fault and therefore keeps its good value, which
     /// `scratch` already holds.

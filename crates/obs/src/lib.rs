@@ -17,9 +17,9 @@
 //!   instance (plus one gauge line per campaign), with a parser for the
 //!   same schema so traces round-trip. Campaign engines keep the traces
 //!   of committed solves with the rest of their commit state.
-//! - Sinks ([`JsonlSink`], [`CsvSink`], [`SummarySink`]): stream traces
-//!   to JSONL, to the Figure-1 CSV schema, or into an in-process
-//!   log-scale histogram/percentile summary ([`TraceSummary`]).
+//! - Sinks ([`JsonlSink`], [`SummarySink`]): stream traces to JSONL or
+//!   into an in-process log-scale histogram/percentile summary
+//!   ([`TraceSummary`]); `core::report::figure1_csv` writes Figure 1.
 //! - [`json`]: the one flat-JSON codec — scanner, typed field reader
 //!   and `,"key":value` writers — shared by the trace lines and the
 //!   `serve` wire protocol. Its [`json_escape_into`] is the workspace's
@@ -40,5 +40,5 @@ mod trace;
 pub use hist::LogHistogram;
 pub use json::{json_escape, json_escape_into};
 pub use probe::{Counters, CountingProbe, NoProbe, Probe, ProbeOutcome};
-pub use sink::{CsvSink, JsonlSink, SharedSink, SummarySink, TraceSink, TraceSummary};
+pub use sink::{JsonlSink, SharedSink, SummarySink, TraceSink, TraceSummary};
 pub use trace::{parse_jsonl, parse_jsonl_line, CampaignMeta, InstanceTrace, TraceLine};

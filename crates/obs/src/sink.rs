@@ -1,5 +1,6 @@
-//! Trace sinks: stream [`InstanceTrace`] records to JSONL, to the
-//! Figure-1 CSV schema, or into an in-process percentile summary.
+//! Trace sinks: stream [`InstanceTrace`] records to JSONL or into an
+//! in-process percentile summary. `core::report` renders the Figure-1
+//! CSV from the same records.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -55,65 +56,6 @@ impl<W: io::Write> TraceSink for JsonlSink<W> {
     fn campaign(&mut self, m: &CampaignMeta) -> io::Result<()> {
         self.lines += 1;
         writeln!(self.writer, "{}", m.to_jsonl())
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-}
-
-/// Writes instance records in the `results/fig1_all.csv` schema
-/// (`circuit,fault,vars,clauses,time_us,decisions,propagations,conflicts,
-/// outcome`), matching `core::report::figure1_csv` byte-for-byte so
-/// traces and in-process campaigns feed the same plotting scripts.
-/// Campaign gauge records have no CSV row and are ignored.
-pub struct CsvSink<W: io::Write> {
-    writer: W,
-    header_written: bool,
-}
-
-impl<W: io::Write> CsvSink<W> {
-    /// A sink writing to `writer`; the header goes out with the first
-    /// row.
-    pub fn new(writer: W) -> Self {
-        CsvSink {
-            writer,
-            header_written: false,
-        }
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: io::Write> TraceSink for CsvSink<W> {
-    fn instance(&mut self, t: &InstanceTrace) -> io::Result<()> {
-        if !self.header_written {
-            writeln!(
-                self.writer,
-                "circuit,fault,vars,clauses,time_us,decisions,propagations,conflicts,outcome"
-            )?;
-            self.header_written = true;
-        }
-        writeln!(
-            self.writer,
-            "{},{},{},{},{:.3},{},{},{},{}",
-            t.circuit,
-            t.fault,
-            t.vars,
-            t.clauses,
-            t.wall_ns as f64 / 1e3,
-            t.counters.decisions,
-            t.counters.propagations,
-            t.counters.conflicts,
-            t.outcome
-        )
-    }
-
-    fn campaign(&mut self, _m: &CampaignMeta) -> io::Result<()> {
-        Ok(())
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -331,27 +273,6 @@ mod tests {
             TraceLine::Instance(t) => assert_eq!(t.seq, 0),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn csv_sink_matches_fig1_schema() {
-        let mut sink = CsvSink::new(Vec::new());
-        sink.campaign(&meta())
-            .expect("writing to a Vec cannot fail"); // no row
-        sink.instance(&trace("c17", 0, 42_000, "SAT"))
-            .expect("writing to a Vec cannot fail");
-        sink.finish().expect("writing to a Vec cannot fail");
-        let text = String::from_utf8(sink.into_inner()).expect("sink writes UTF-8");
-        let mut lines = text.lines();
-        assert_eq!(
-            lines.next().expect("header row"),
-            "circuit,fault,vars,clauses,time_us,decisions,propagations,conflicts,outcome"
-        );
-        assert_eq!(
-            lines.next().expect("one data row"),
-            "c17,n0/s-a-0,10,20,42.000,3,9,1,SAT"
-        );
-        assert!(lines.next().is_none());
     }
 
     #[test]

@@ -748,7 +748,7 @@ impl Solver for Cdcl {
 /// calls. Clauses may be added between solves with
 /// [`IncrementalCdcl::add_clause`]; variables grow on demand. Learnt
 /// clauses are consequences of the clause database alone (assumptions
-/// are never resolution pivots, see [`search`]), so everything learnt
+/// are never resolution pivots, see `search`), so everything learnt
 /// while solving one fault's assumptions remains valid for the next
 /// fault's disjoint assumption set — the warm-start effect the
 /// incremental fault campaign measures.

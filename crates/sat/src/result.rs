@@ -150,7 +150,7 @@ const DEADLINE_CHECK_INTERVAL: u32 = 512;
 ///
 /// Solvers tick this once per backtracking node (and CDCL additionally
 /// once per propagation pass); the tick only reads the clock every
-/// [`DEADLINE_CHECK_INTERVAL`] calls, so enforcement costs a decrement on
+/// `DEADLINE_CHECK_INTERVAL` calls, so enforcement costs a decrement on
 /// the hot path. The very first tick always reads the clock, so an
 /// already-expired deadline (e.g. `Duration::ZERO`, or a campaign budget
 /// spent before this solve started) aborts before any work is done; only
@@ -178,7 +178,7 @@ impl Deadline {
     /// Ticks the checker; `true` once the deadline has passed (and on
     /// every tick thereafter, so recursive solvers unwind promptly).
     ///
-    /// Only every [`DEADLINE_CHECK_INTERVAL`]-th call consults the clock,
+    /// Only every `DEADLINE_CHECK_INTERVAL`-th call consults the clock,
     /// so expiry is detected within that many ticks of the true instant.
     #[inline]
     pub fn expired(&mut self) -> bool {

@@ -11,7 +11,7 @@
 //!   typed error codes. One request line in, a stream of response lines
 //!   out (`accepted`, `start`, per-fault `verdict`s, optional `cert`
 //!   and `audit` for certified campaigns, terminal `done`).
-//! - [`Scheduler`] (via [`Server`]): a bounded, tenant-fair,
+//! - `Scheduler` (via [`Server`]): a bounded, tenant-fair,
 //!   deadline-aware executor driving [`CampaignDriver`] state machines
 //!   a quantum of faults at a time — admission-time shedding instead of
 //!   unbounded queues, round-robin across connections, cooperative
@@ -32,7 +32,6 @@
 //!
 //! [`CampaignDriver`]: atpg_easy_atpg::CampaignDriver
 //! [`campaign::run`]: atpg_easy_atpg::campaign::run
-//! [`Scheduler`]: crate::sched::Scheduler
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

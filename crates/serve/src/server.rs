@@ -1,8 +1,8 @@
 //! The daemon: connection acceptance, line framing and request dispatch.
 //!
-//! A [`Server`] owns one [`Scheduler`] and its worker pool. Each
+//! A [`Server`] owns one `Scheduler` and its worker pool. Each
 //! connection — a real `TcpStream` via [`Server::serve`] or an
-//! in-memory [`pipe`](crate::pipe::pipe) pair via [`Server::connect`] —
+//! in-memory [`pipe`] pair via [`Server::connect`] —
 //! gets two threads:
 //!
 //! - a **reader** that frames newline-delimited requests (with a hard
