@@ -7,8 +7,9 @@
 
 use std::time::{Duration, Instant};
 
+use atpg_easy_cnf::{CnfFormula, Var};
 use atpg_easy_netlist::sim::PatternBlock;
-use atpg_easy_netlist::{topo, GateId, Netlist};
+use atpg_easy_netlist::{topo, Netlist};
 use atpg_easy_obs::{CountingProbe, InstanceTrace, NoProbe};
 use atpg_easy_sat::{
     CachingBacktracking, Cdcl, Dpll, Limits, Outcome, SimpleBacktracking, Solver, SolverStats,
@@ -17,6 +18,7 @@ use atpg_easy_sat::{
 use crate::certify::{CertifiedRun, StreamSink};
 use crate::driver::CampaignDriver;
 use crate::faultsim::{FaultSimulator, SimBuffers, WIDE_PATTERNS};
+use crate::miter::AtpgMiter;
 use crate::{miter, verify, Fault};
 
 /// Which solver backs the campaign.
@@ -34,7 +36,7 @@ pub enum SolverChoice {
 }
 
 impl SolverChoice {
-    fn make(self, limits: Limits) -> Box<dyn Solver> {
+    pub(crate) fn make(self, limits: Limits) -> Box<dyn Solver> {
         match self {
             SolverChoice::Cdcl => Box::new(Cdcl::new().with_limits(limits)),
             SolverChoice::Dpll => Box::new(Dpll::new().with_limits(limits)),
@@ -407,7 +409,8 @@ fn build_driver(
 pub fn solve_one(nl: &Netlist, f: Fault, config: &AtpgConfig) -> FaultRecord {
     let order = topo::topo_order(nl).expect("validated netlist");
     let cone = topo::fanout_cone_gates(nl, &order, f.net);
-    solve_instance(nl, f, config, &order, &cone, None, None)
+    let m = miter::encode(nl, f, &order, &cone, config.activation_clause);
+    solve_instance(nl, &m, &mut *config.solver.make(config.limits), None, None)
 }
 
 /// The Figure-1 outcome label of a fault record: `"SAT"`, `"UNSAT"`,
@@ -423,24 +426,21 @@ pub fn outcome_label(outcome: &FaultOutcome) -> &'static str {
     }
 }
 
-/// Encodes ([`miter::encode`], from a topological `order` of `nl` and the
-/// fault net's fan-out `cone` in it) and solves one fault's ATPG-SAT
-/// instance from scratch, observing the solve through `probe` and logging
-/// it into the proof stream of `cert` (a [`Reset`](atpg_easy_proof::Event::Reset),
+/// Solves the fresh ATPG-SAT instance `m` of `nl` ([`miter::encode`])
+/// with `solver`, observing the solve through `probe` and logging it into
+/// the proof stream of `cert` (a [`Reset`](atpg_easy_proof::Event::Reset),
 /// the formula as axioms, and a `SolveBegin(index)`/`SolveEnd` bracket
-/// around the solver's derivations) when given.
+/// around the solver's derivations) when given. The solver's own budget
+/// applies; each solve starts it from a clean state, so one solver serves
+/// every fault of a campaign.
 pub(crate) fn solve_instance(
     nl: &Netlist,
-    f: Fault,
-    config: &AtpgConfig,
-    order: &[GateId],
-    cone: &[GateId],
+    m: &AtpgMiter<CnfFormula, Var>,
+    solver: &mut dyn Solver,
     probe: Option<&mut CountingProbe>,
     cert: Option<(usize, &mut StreamSink)>,
 ) -> FaultRecord {
-    let m = miter::encode(nl, f, order, cone, config.activation_clause);
-    let formula = &m.circuit;
-    let mut solver = config.solver.make(config.limits);
+    let (f, formula) = (m.fault, &m.circuit);
     let started = Instant::now();
     let sol = match (probe, cert) {
         (None, None) => solver.solve(formula),

@@ -35,6 +35,7 @@ use std::time::Duration;
 use atpg_easy_netlist::sim::{Lanes, PatternBlock};
 use atpg_easy_netlist::Netlist;
 use atpg_easy_obs::{Counters, CountingProbe, InstanceTrace};
+use atpg_easy_sat::{Limits, Solver};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -42,7 +43,7 @@ use crate::campaign::{self, AtpgConfig, CampaignResult, FaultOutcome, FaultRecor
 use crate::certify::StreamSink;
 use crate::faultsim::{FaultSimulator, SimBuffers, WIDE_PATTERNS};
 use crate::incremental::IncrementalAtpg;
-use crate::{fault, Fault};
+use crate::{fault, miter, Fault};
 
 /// Why a [`CampaignDriver`] could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,10 +214,18 @@ impl Solved {
     }
 }
 
-/// Everything a solve mutates: the optional warm solver, the optional
-/// proof stream and the scratch buffers for drop-hit simulation.
+/// The solver a context answers its faults with.
+enum Backend {
+    /// One persistent incremental solver (`config.incremental`).
+    Warm(Box<IncrementalAtpg>),
+    /// One `config.solver`, reused for every fault's fresh instance.
+    Fresh(Box<dyn Solver>),
+}
+
+/// Everything a solve mutates: the solver, the optional proof stream and
+/// the scratch buffers for drop-hit simulation.
 pub(crate) struct SolverContext {
-    warm: Option<IncrementalAtpg>,
+    backend: Backend,
     sink: Option<StreamSink>,
     counted: bool,
     /// The worker id stamped on each solve's trace; `None` when the
@@ -229,7 +238,8 @@ pub(crate) struct SolverContext {
 
 impl SolverContext {
     /// A context over `nl`. With `config.incremental` it encodes a warm
-    /// solver; with `certified` it logs every solve into its own proof
+    /// solver, else it builds one `config.solver` for every fresh
+    /// instance; with `certified` it logs every solve into its own proof
     /// stream; with `counted` it observes every solve through a
     /// [`CountingProbe`] (an untraced sequential solve stays unprobed);
     /// with `trace_worker` each solve carries its [`InstanceTrace`],
@@ -242,12 +252,17 @@ impl SolverContext {
         certified: bool,
     ) -> Self {
         let mut sink = certified.then(StreamSink::new);
-        let warm = config.incremental.then(|| IncrementalAtpg::new(nl, config));
-        if let (Some(s), Some(w)) = (sink.as_mut(), warm.as_ref()) {
-            w.record_base_axioms(s);
-        }
+        let backend = if config.incremental {
+            let warm = IncrementalAtpg::new(nl, config);
+            if let Some(s) = sink.as_mut() {
+                warm.record_base_axioms(s);
+            }
+            Backend::Warm(Box::new(warm))
+        } else {
+            Backend::Fresh(config.solver.make(config.limits))
+        };
         SolverContext {
-            warm,
+            backend,
             sink,
             counted,
             trace_worker,
@@ -274,10 +289,14 @@ impl SolverContext {
         let mut probe = CountingProbe::default();
         let counting = self.counted.then_some(&mut probe);
         let cert = self.sink.as_mut().map(|s| (index, s));
-        let (order, cone) = (setup.fs.order(), setup.fs.cone(f.net));
-        let record = match self.warm.as_mut() {
-            Some(warm) => warm.solve_fault_with(f, config, cone, counting, cert),
-            None => campaign::solve_instance(nl, f, config, order, cone, counting, cert),
+        let cone = setup.fs.cone(f.net);
+        let record = match &mut self.backend {
+            Backend::Warm(warm) => warm.solve_fault_with(f, config, cone, counting, cert),
+            Backend::Fresh(solver) => {
+                let order = setup.fs.order();
+                let m = miter::encode(nl, f, order, cone, config.activation_clause);
+                campaign::solve_instance(nl, &m, &mut **solver, counting, cert)
+            }
         };
         let proof_bytes = self
             .sink
@@ -316,11 +335,12 @@ impl SolverContext {
         solved
     }
 
-    /// Tightens the warm solver's budget (the config copy is the
-    /// caller's).
-    fn set_limits(&mut self, limits: atpg_easy_sat::Limits) {
-        if let Some(warm) = self.warm.as_mut() {
-            warm.set_limits(limits);
+    /// Replaces the solver's budget in place, keeping its state (the
+    /// config copy is the caller's).
+    fn set_limits(&mut self, limits: Limits) {
+        match &mut self.backend {
+            Backend::Warm(warm) => warm.set_limits(limits),
+            Backend::Fresh(solver) => solver.set_limits(limits),
         }
     }
 
@@ -486,8 +506,8 @@ impl CampaignDriver {
     }
 
     /// Tightens the per-solve wall budget to at most `budget` for every
-    /// later step — both the config copy used for cold solves and the
-    /// warm incremental solver, if any. Budgets only ever shrink
+    /// later step — both the config copy and the context's solver, warm
+    /// or fresh, which keeps its state. Budgets only ever shrink
     /// ([`atpg_easy_sat::Limits::clamp_wall`]), so repeated calls with a
     /// shrinking deadline remainder are safe.
     pub fn clamp_wall(&mut self, budget: Duration) {

@@ -170,7 +170,7 @@ impl IncrementalAtpg {
             let good = |n: NetId| Var::from_index(n.index());
             miter::faulty_cone(&self.nl, f, cone, &fo, good, &mut scratch);
             if config.activation_clause {
-                scratch.add_clause(vec![Lit::with_value(good(f.net), !f.stuck)]);
+                scratch.add_lits([Lit::with_value(good(f.net), !f.stuck)]);
             }
             self.solver.grow_to(scratch.num_vars());
         } else {
@@ -182,14 +182,15 @@ impl IncrementalAtpg {
         }
 
         let added = scratch.num_clauses();
+        let mut guarded = Vec::new();
         for clause in scratch.clauses() {
-            let mut guarded = Vec::with_capacity(clause.len() + 1);
+            guarded.clear();
             guarded.push(Lit::negative(act));
             guarded.extend_from_slice(clause);
             if let Some((_, sink)) = cert.as_mut() {
                 sink.axiom(&guarded);
             }
-            let ok = self.solver.add_clause(guarded);
+            let ok = self.solver.add_clause(&guarded);
             debug_assert!(ok, "guarded clauses cannot refute the database");
         }
 
@@ -244,7 +245,7 @@ impl IncrementalAtpg {
         if let Some((_, sink)) = cert.as_mut() {
             sink.axiom(&[Lit::negative(act)]);
         }
-        let ok = self.solver.add_clause(vec![Lit::negative(act)]);
+        let ok = self.solver.add_clause([Lit::negative(act)]);
         debug_assert!(ok, "clamping an activation literal is always consistent");
         let cone_vars = (first_cone_var..self.solver.num_vars()).map(Var::from_index);
         self.solver.retire_vars(cone_vars);

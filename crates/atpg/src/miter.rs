@@ -119,7 +119,7 @@ impl MiterTarget for CnfFormula {
             .expect("preflighted circuits have no wide XORs");
     }
     fn outputs(&mut self, nets: &[Var]) {
-        self.add_clause(nets.iter().map(|&z| Lit::positive(z)).collect());
+        self.add_lits(nets.iter().map(|&z| Lit::positive(z)));
     }
 }
 
@@ -147,7 +147,7 @@ pub(crate) fn encode(
 ) -> AtpgMiter<CnfFormula, Var> {
     let mut m = build_in(nl, fault, order, cone, CnfFormula::default());
     if let Some(x) = m.good_of[fault.net.index()].filter(|_| activation) {
-        m.circuit.add_clause(vec![Lit::with_value(x, !fault.stuck)]);
+        m.circuit.add_lits([Lit::with_value(x, !fault.stuck)]);
     }
     m
 }

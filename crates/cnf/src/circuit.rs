@@ -11,7 +11,7 @@ use std::fmt;
 
 use atpg_easy_netlist::{GateKind, NetId, Netlist};
 
-use crate::{Clause, CnfFormula, Lit, Var};
+use crate::{CnfFormula, Lit, Var};
 
 /// Errors from CNF encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,34 +92,30 @@ pub fn gate_clauses(
             // AND: y ↔ x1∧…∧xn. NAND: the same with y complemented.
             let yl = if kind == GateKind::And { y } else { !y };
             for &x in inputs {
-                formula.add_clause(vec![!yl, pos(x)]);
+                formula.add_lits([!yl, pos(x)]);
             }
-            let mut big: Clause = inputs.iter().map(|&x| neg(x)).collect();
-            big.push(yl);
-            formula.add_clause(big);
+            formula.add_lits(inputs.iter().map(|&x| neg(x)).chain([yl]));
         }
         GateKind::Or | GateKind::Nor => {
             let yl = if kind == GateKind::Or { y } else { !y };
             for &x in inputs {
-                formula.add_clause(vec![yl, neg(x)]);
+                formula.add_lits([yl, neg(x)]);
             }
-            let mut big: Clause = inputs.iter().map(|&x| pos(x)).collect();
-            big.push(!yl);
-            formula.add_clause(big);
+            formula.add_lits(inputs.iter().map(|&x| pos(x)).chain([!yl]));
         }
         GateKind::Xor | GateKind::Xnor => match inputs {
             [x] => {
                 // 1-input XOR is a buffer; XNOR an inverter.
                 let yl = if kind == GateKind::Xor { y } else { !y };
-                formula.add_clause(vec![!yl, pos(*x)]);
-                formula.add_clause(vec![yl, neg(*x)]);
+                formula.add_lits([!yl, pos(*x)]);
+                formula.add_lits([yl, neg(*x)]);
             }
             [a, b] => {
                 let yl = if kind == GateKind::Xor { y } else { !y };
-                formula.add_clause(vec![!yl, pos(*a), pos(*b)]);
-                formula.add_clause(vec![!yl, neg(*a), neg(*b)]);
-                formula.add_clause(vec![yl, pos(*a), neg(*b)]);
-                formula.add_clause(vec![yl, neg(*a), pos(*b)]);
+                formula.add_lits([!yl, pos(*a), pos(*b)]);
+                formula.add_lits([!yl, neg(*a), neg(*b)]);
+                formula.add_lits([yl, pos(*a), neg(*b)]);
+                formula.add_lits([yl, neg(*a), pos(*b)]);
             }
             _ => {
                 return Err(EncodeError::WideXor {
@@ -128,18 +124,18 @@ pub fn gate_clauses(
             }
         },
         GateKind::Not => {
-            formula.add_clause(vec![!y, neg(inputs[0])]);
-            formula.add_clause(vec![y, pos(inputs[0])]);
+            formula.add_lits([!y, neg(inputs[0])]);
+            formula.add_lits([y, pos(inputs[0])]);
         }
         GateKind::Buf => {
-            formula.add_clause(vec![!y, pos(inputs[0])]);
-            formula.add_clause(vec![y, neg(inputs[0])]);
+            formula.add_lits([!y, pos(inputs[0])]);
+            formula.add_lits([y, neg(inputs[0])]);
         }
         GateKind::Const0 => {
-            formula.add_clause(vec![!y]);
+            formula.add_lits([!y]);
         }
         GateKind::Const1 => {
-            formula.add_clause(vec![y]);
+            formula.add_lits([y]);
         }
     }
     Ok(())
@@ -153,12 +149,10 @@ pub fn gate_clauses(
 /// See [`gate_clauses`].
 pub fn encode_consistency(nl: &Netlist) -> Result<CircuitSatEncoding, EncodeError> {
     let mut formula = CnfFormula::new(nl.num_nets());
+    let mut ins: Vec<Var> = Vec::new();
     for (_, gate) in nl.gates() {
-        let ins: Vec<Var> = gate
-            .inputs
-            .iter()
-            .map(|&n| Var::from_index(n.index()))
-            .collect();
+        ins.clear();
+        ins.extend(gate.inputs.iter().map(|&n| Var::from_index(n.index())));
         gate_clauses(
             &mut formula,
             gate.kind,
@@ -193,8 +187,8 @@ pub fn encode(nl: &Netlist) -> Result<CircuitSatEncoding, EncodeError> {
         return Err(EncodeError::NoOutputs);
     }
     let mut enc = encode_consistency(nl)?;
-    let out_clause: Clause = enc.output_vars.iter().map(|&v| Lit::positive(v)).collect();
-    enc.formula.add_clause(out_clause);
+    let outputs = enc.output_vars.iter().map(|&v| Lit::positive(v));
+    enc.formula.add_lits(outputs);
     Ok(enc)
 }
 

@@ -205,7 +205,7 @@ mod tests {
         let g = parse(&text).unwrap();
         assert_eq!(g.num_vars(), 3);
         assert_eq!(g.num_clauses(), 2);
-        assert_eq!(g.clauses(), f.clauses());
+        assert_eq!(g, f);
     }
 
     #[test]
@@ -254,7 +254,7 @@ mod tests {
     fn multiline_clause() {
         let g = parse("p cnf 3 1\n1\n2\n3 0\n").unwrap();
         assert_eq!(g.num_clauses(), 1);
-        assert_eq!(g.clauses()[0].len(), 3);
+        assert_eq!(g.clause(0).len(), 3);
     }
 
     #[test]
@@ -342,7 +342,7 @@ mod tests {
         fn proptest_roundtrip(f in formula_strategy()) {
             let g = parse(&write(&f)).unwrap();
             prop_assert_eq!(g.num_vars(), f.num_vars());
-            prop_assert_eq!(g.clauses(), f.clauses());
+            prop_assert_eq!(g, f);
         }
 
         /// Arbitrary corruption of well-formed text never panics: the

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{Clause, Var};
+use crate::{Clause, Lit, Var};
 
 /// A CNF formula: a conjunction of clauses over variables `0..num_vars`.
 ///
@@ -10,10 +10,15 @@ use crate::{Clause, Var};
 /// of literals. Duplicate literals within a clause are removed on insertion
 /// and tautological clauses (containing `l` and `¬l`) are dropped, so the
 /// stored clause set matches the paper's set-of-sets semantics.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// All literals live in one buffer, clause after clause, and `ends[i]` is
+/// where clause `i` stops: adding a clause allocates nothing per clause,
+/// and [`Self::clauses`] hands out slices of that buffer.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct CnfFormula {
     num_vars: usize,
-    clauses: Vec<Clause>,
+    lits: Vec<Lit>,
+    ends: Vec<usize>,
 }
 
 impl CnfFormula {
@@ -21,7 +26,7 @@ impl CnfFormula {
     pub fn new(num_vars: usize) -> Self {
         CnfFormula {
             num_vars,
-            clauses: Vec::new(),
+            ..CnfFormula::default()
         }
     }
 
@@ -32,17 +37,29 @@ impl CnfFormula {
 
     /// Number of clauses.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
     /// Total number of literal occurrences.
     pub fn num_literals(&self) -> usize {
-        self.clauses.iter().map(Vec::len).sum()
+        self.lits.len()
     }
 
-    /// The clauses.
-    pub fn clauses(&self) -> &[Clause] {
-        &self.clauses
+    /// Clause `i`, in insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= num_clauses()`.
+    pub fn clause(&self, i: usize) -> &[Lit] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.lits[start..self.ends[i]]
+    }
+
+    /// The clauses, in insertion order.
+    pub fn clauses(
+        &self,
+    ) -> impl ExactSizeIterator<Item = &[Lit]> + DoubleEndedIterator + Clone + '_ {
+        (0..self.ends.len()).map(|i| self.clause(i))
     }
 
     /// Allocates a fresh variable.
@@ -64,18 +81,36 @@ impl CnfFormula {
     /// An **empty clause is kept** — it makes the formula trivially
     /// unsatisfiable, matching the paper's definition of an inconsistent
     /// sub-formula.
-    pub fn add_clause(&mut self, mut clause: Clause) -> bool {
+    pub fn add_clause(&mut self, clause: Clause) -> bool {
+        self.add_lits(clause)
+    }
+
+    /// [`Self::add_clause`] from any literal source, such as an array or
+    /// a copied slice, without building a `Vec` for the clause.
+    pub fn add_lits(&mut self, lits: impl IntoIterator<Item = Lit>) -> bool {
+        let start = self.lits.len();
+        self.lits.extend(lits);
+        let clause = &mut self.lits[start..];
         clause.sort_unstable();
-        clause.dedup();
-        for w in clause.windows(2) {
-            if w[0].var() == w[1].var() {
+        // Deduplicate in place; after sorting, `l` and `!l` are adjacent.
+        let mut kept = 0;
+        for i in 0..clause.len() {
+            let l = clause[i];
+            if kept > 0 && clause[kept - 1] == l {
+                continue;
+            }
+            if kept > 0 && clause[kept - 1].var() == l.var() {
+                self.lits.truncate(start);
                 return false; // l and !l: tautology
             }
+            clause[kept] = l;
+            kept += 1;
         }
-        if let Some(max) = clause.iter().map(|l| l.var().index()).max() {
-            self.grow_to(max + 1);
+        self.lits.truncate(start + kept);
+        if let Some(max) = self.lits[start..].last() {
+            self.grow_to(max.var().index() + 1);
         }
-        self.clauses.push(clause);
+        self.ends.push(self.lits.len());
         true
     }
 
@@ -89,12 +124,13 @@ impl CnfFormula {
     /// variables at or beyond [`Self::num_vars`]; run the lint passes to
     /// detect that.
     pub fn add_clause_unchecked(&mut self, clause: Clause) {
-        self.clauses.push(clause);
+        self.lits.extend(clause);
+        self.ends.push(self.lits.len());
     }
 
     /// Whether the formula contains an empty clause (trivially UNSAT).
     pub fn has_empty_clause(&self) -> bool {
-        self.clauses.iter().any(Vec::is_empty)
+        self.clauses().any(<[Lit]>::is_empty)
     }
 
     /// Evaluates under a partial assignment (`None` = unassigned).
@@ -109,7 +145,7 @@ impl CnfFormula {
     pub fn eval(&self, assignment: &[Option<bool>]) -> Option<bool> {
         assert!(assignment.len() >= self.num_vars, "assignment too short");
         let mut all_sat = true;
-        for clause in &self.clauses {
+        for clause in self.clauses() {
             let mut sat = false;
             let mut undecided = false;
             for &lit in clause {
@@ -145,7 +181,7 @@ impl CnfFormula {
     /// Panics if `assignment.len() < num_vars`.
     pub fn eval_complete(&self, assignment: &[bool]) -> bool {
         assert!(assignment.len() >= self.num_vars, "assignment too short");
-        self.clauses.iter().all(|c| {
+        self.clauses().all(|c| {
             c.iter()
                 .any(|&l| assignment[l.var().index()] == l.asserted_value())
         })
@@ -153,7 +189,7 @@ impl CnfFormula {
 
     /// Maximum clause length.
     pub fn max_clause_len(&self) -> usize {
-        self.clauses.iter().map(Vec::len).max().unwrap_or(0)
+        self.clauses().map(<[Lit]>::len).max().unwrap_or(0)
     }
 }
 
@@ -173,9 +209,18 @@ impl FromIterator<Clause> for CnfFormula {
     }
 }
 
+impl fmt::Debug for CnfFormula {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CnfFormula")
+            .field("num_vars", &self.num_vars)
+            .field("clauses", &self.clauses().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
 impl fmt::Display for CnfFormula {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, clause) in self.clauses.iter().enumerate() {
+        for (i, clause) in self.clauses().enumerate() {
             if i > 0 {
                 write!(f, " ∧ ")?;
             }
@@ -195,7 +240,7 @@ impl fmt::Display for CnfFormula {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Lit;
+    use proptest::prelude::*;
 
     fn lit(i: usize, pos: bool) -> Lit {
         Lit::with_value(Var::from_index(i), pos)
@@ -216,7 +261,7 @@ mod tests {
         assert!(!f.add_clause(vec![lit(0, true), lit(0, false)]));
         assert_eq!(f.num_clauses(), 0);
         assert!(f.add_clause(vec![lit(1, true), lit(1, true)]));
-        assert_eq!(f.clauses()[0].len(), 1);
+        assert_eq!(f.clause(0).len(), 1);
     }
 
     #[test]
@@ -247,6 +292,82 @@ mod tests {
             .collect();
         assert_eq!(f.num_clauses(), 2);
         assert_eq!(f.num_vars(), 2);
+    }
+
+    /// How one proptest step adds its clause.
+    #[derive(Debug, Clone, Copy)]
+    enum Add {
+        Vec,
+        Slice,
+        Unchecked,
+    }
+
+    /// Clause additions over few variables, so duplicates, tautologies
+    /// and empty clauses are common.
+    fn ops_strategy() -> impl Strategy<Value = (usize, Vec<(Add, Clause)>)> {
+        let clause = proptest::collection::vec((0usize..8, any::<bool>()), 0..6)
+            .prop_map(|lits| lits.into_iter().map(|(v, pos)| lit(v, pos)).collect());
+        let add = (0u8..3).prop_map(|k| [Add::Vec, Add::Slice, Add::Unchecked][k as usize]);
+        (0usize..6, proptest::collection::vec((add, clause), 0..24))
+    }
+
+    /// The formula `ops` build, and the same formula as the clause lists
+    /// and variable count of the `Vec<Vec<Lit>>` formula it replaced.
+    fn build(num_vars: usize, ops: &[(Add, Clause)]) -> (CnfFormula, Vec<Clause>, usize) {
+        let mut f = CnfFormula::new(num_vars);
+        let (mut reference, mut vars) = (Vec::new(), num_vars);
+        for (add, clause) in ops {
+            let kept = match add {
+                Add::Vec => f.add_clause(clause.clone()),
+                Add::Slice => f.add_lits(clause.as_slice().iter().copied()),
+                Add::Unchecked => {
+                    f.add_clause_unchecked(clause.clone());
+                    reference.push(clause.clone());
+                    continue;
+                }
+            };
+            let mut norm = clause.clone();
+            norm.sort_unstable();
+            norm.dedup();
+            let tautology = norm.windows(2).any(|w| w[0].var() == w[1].var());
+            assert_eq!(kept, !tautology, "{clause:?}");
+            if !tautology {
+                if let Some(max) = norm.iter().map(|l| l.var().index()).max() {
+                    vars = vars.max(max + 1);
+                }
+                reference.push(norm);
+            }
+        }
+        (f, reference, vars)
+    }
+
+    proptest! {
+        /// The flat buffer stores what the per-clause `Vec`s stored:
+        /// normalized clauses (verbatim ones from `add_clause_unchecked`),
+        /// their literal count, the grown variable count, the empty-clause
+        /// flag, and `==` exactly when the clause lists and counts agree.
+        #[test]
+        fn flat_formula_matches_clause_lists(
+            (n, ops) in ops_strategy(),
+            (other_n, other_ops) in ops_strategy(),
+        ) {
+            let (f, reference, vars) = build(n, &ops);
+            prop_assert_eq!(f.clauses().collect::<Vec<_>>(), reference.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            prop_assert_eq!(f.num_clauses(), reference.len());
+            for (i, c) in reference.iter().enumerate() {
+                prop_assert_eq!(f.clause(i), c.as_slice());
+            }
+            prop_assert_eq!(f.num_literals(), reference.iter().map(Vec::len).sum::<usize>());
+            prop_assert_eq!(f.num_vars(), vars);
+            prop_assert_eq!(f.has_empty_clause(), reference.iter().any(Vec::is_empty));
+            let (g, other_reference, other_vars) = build(other_n, &other_ops);
+            prop_assert_eq!(f == g, (&reference, vars) == (&other_reference, other_vars));
+            let mut again = CnfFormula::new(vars);
+            for c in &reference {
+                again.add_clause_unchecked(c.clone());
+            }
+            prop_assert_eq!(&again, &f);
+        }
     }
 
     #[test]

@@ -33,13 +33,12 @@ pub enum SatClass {
 /// Whether every clause has at most one positive literal.
 pub fn is_horn(f: &CnfFormula) -> bool {
     f.clauses()
-        .iter()
         .all(|c| c.iter().filter(|l| l.is_positive()).count() <= 1)
 }
 
 /// Whether every clause has at most two literals.
 pub fn is_two_sat(f: &CnfFormula) -> bool {
-    f.clauses().iter().all(|c| c.len() <= 2)
+    f.clauses().all(|c| c.len() <= 2)
 }
 
 /// Whether the formula is Horn after complementing some variable subset

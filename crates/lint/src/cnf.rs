@@ -24,7 +24,7 @@ pub fn lint(f: &CnfFormula) -> Report {
     let mut used = vec![false; f.num_vars()];
     let mut seen: HashMap<Vec<Lit>, usize> = HashMap::new();
 
-    for (ci, clause) in f.clauses().iter().enumerate() {
+    for (ci, clause) in f.clauses().enumerate() {
         let loc = Location::Clause { index: ci };
         if clause.is_empty() {
             report.add(
@@ -49,7 +49,7 @@ pub fn lint(f: &CnfFormula) -> Report {
                 used[v] = true;
             }
         }
-        let mut norm = clause.clone();
+        let mut norm = clause.to_vec();
         norm.sort_unstable();
         let before = norm.len();
         norm.dedup();
@@ -130,7 +130,7 @@ pub fn lint_encoding(nl: &Netlist, f: &CnfFormula) -> Report {
     // Clause indices by variable, to collect each gate's candidate group
     // without rescanning the whole formula per gate.
     let mut by_var: Vec<Vec<usize>> = vec![Vec::new(); f.num_vars()];
-    for (ci, clause) in f.clauses().iter().enumerate() {
+    for (ci, clause) in f.clauses().enumerate() {
         for &lit in clause {
             if lit.var().index() < f.num_vars() {
                 by_var[lit.var().index()].push(ci);
@@ -151,9 +151,9 @@ pub fn lint_encoding(nl: &Netlist, f: &CnfFormula) -> Report {
 
         // Candidate clauses: mention the output, variables ⊆ the gate set.
         let in_set = |v: usize| vars.binary_search(&v).is_ok();
-        let group: Vec<&Vec<Lit>> = by_var[out_var]
+        let group: Vec<&[Lit]> = by_var[out_var]
             .iter()
-            .map(|&ci| &f.clauses()[ci])
+            .map(|&ci| f.clause(ci))
             .filter(|clause| clause.iter().all(|l| in_set(l.var().index())))
             .collect();
 

@@ -90,7 +90,6 @@ pub fn lint_standalone_drat(dimacs: &str, drat: &str) -> Report {
     };
     let mut events: Vec<Event> = formula
         .clauses()
-        .iter()
         .map(|c| Event::Axiom(c.iter().map(|l| l.to_dimacs()).collect()))
         .collect();
     events.push(Event::SolveBegin {

@@ -30,10 +30,16 @@ const RESCALE_LIMIT: f64 = 1e100;
 const RESTART_BASE: u64 = 64;
 
 /// Conflict-driven clause-learning SAT solver.
-#[derive(Debug, Clone, Default)]
+///
+/// One engine serves every [`Solver::solve`] call: each solve resets it
+/// to a new engine's state, keeping the capacity of its buffers, so a
+/// campaign that solves thousands of small instances allocates for the
+/// largest one, not for each.
+#[derive(Clone, Default)]
 pub struct Cdcl {
     limits: Limits,
     stats: SolverStats,
+    engine: Engine,
 }
 
 impl Cdcl {
@@ -49,17 +55,44 @@ impl Cdcl {
     }
 }
 
+impl std::fmt::Debug for Cdcl {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Cdcl")
+            .field("limits", &self.limits)
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Where a clause's literals sit in the engine's arena, and its
+/// learnt-clause bookkeeping.
 #[derive(Debug, Clone)]
-struct ClauseData {
-    lits: Vec<Lit>,
+struct ClauseHeader {
+    start: usize,
+    len: usize,
     learnt: bool,
     activity: f64,
     deleted: bool,
 }
 
+impl ClauseHeader {
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len
+    }
+}
+
+/// The solver state. [`Engine::reset`] defines a new engine; everything
+/// else only moves from there.
+#[derive(Clone, Default)]
 struct Engine {
-    clauses: Vec<ClauseData>,
-    /// Per literal code: indices of clauses currently watching that literal.
+    /// The literals of every clause, problem and learnt, one clause after
+    /// another in the order they were attached. A deleted learnt clause
+    /// keeps its place.
+    arena: Vec<Lit>,
+    clauses: Vec<ClauseHeader>,
+    /// Per literal code: indices of clauses currently watching that
+    /// literal. Lists past `2 * num_vars` are empty leftovers of a larger
+    /// earlier instance, kept for their capacity.
     watches: Vec<Vec<usize>>,
     assign: Vec<Option<bool>>,
     level: Vec<u32>,
@@ -81,6 +114,17 @@ struct Engine {
     num_learnt: usize,
     num_problem: usize,
     max_learnt: usize,
+    /// Per-variable marks of `analyze` and `analyze_final`; all false
+    /// between calls.
+    seen: Vec<bool>,
+    /// Per-variable marks of one `lit_redundant` call, listed in
+    /// `visited_vars`; all false between calls.
+    visited: Vec<bool>,
+    visited_vars: Vec<usize>,
+    /// The reason clauses `lit_redundant` still has to expand.
+    stack: Vec<usize>,
+    /// The clause `analyze` learnt, asserting literal first.
+    learnt: Vec<Lit>,
 }
 
 /// The Luby restart sequence: 1,1,2,1,1,2,4,...
@@ -98,35 +142,51 @@ fn luby(mut i: u64) -> u64 {
     }
 }
 
+/// Sets `v` to `n` copies of `value`, keeping its capacity.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+    v.clear();
+    v.resize(n, value);
+}
+
 impl Engine {
     fn with_vars(n: usize) -> Self {
-        Engine {
-            clauses: Vec::new(),
-            watches: vec![Vec::new(); 2 * n],
-            assign: vec![None; n],
-            level: vec![0; n],
-            reason: vec![None; n],
-            trail: Vec::with_capacity(n),
-            trail_lim: Vec::new(),
-            qhead: 0,
-            activity: vec![0.0; n],
-            dead: vec![false; n],
-            var_inc: 1.0,
-            cla_inc: 1.0,
-            heap: (0..n as u32).map(|v| (0u64, v)).collect(),
-            phase: vec![false; n],
-            stats: SolverStats::default(),
-            num_learnt: 0,
-            num_problem: 0,
-            max_learnt: 2000,
-        }
+        let mut e = Engine::default();
+        e.reset(n);
+        e
     }
 
-    fn new(f: &CnfFormula) -> Self {
-        let mut e = Engine::with_vars(f.num_vars());
-        e.clauses.reserve(f.num_clauses());
-        e.max_learnt = (f.num_clauses() / 3).max(2000);
-        e
+    /// Puts the engine into the state of a new engine over `n` variables
+    /// with no clauses. Only the buffers' capacity survives, so a reused
+    /// engine searches exactly as a new one would.
+    fn reset(&mut self, n: usize) {
+        self.arena.clear();
+        self.clauses.clear();
+        self.watches.iter_mut().for_each(Vec::clear);
+        if self.watches.len() < 2 * n {
+            self.watches.resize_with(2 * n, Vec::new);
+        }
+        refill(&mut self.assign, n, None);
+        refill(&mut self.level, n, 0);
+        refill(&mut self.reason, n, None);
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.qhead = 0;
+        refill(&mut self.activity, n, 0.0);
+        refill(&mut self.dead, n, false);
+        self.var_inc = 1.0;
+        self.cla_inc = 1.0;
+        self.heap.clear();
+        self.heap.extend((0..n as u32).map(|v| (0u64, v)));
+        refill(&mut self.phase, n, false);
+        self.stats = SolverStats::default();
+        self.num_learnt = 0;
+        self.num_problem = 0;
+        self.max_learnt = 2000;
+        refill(&mut self.seen, n, false);
+        refill(&mut self.visited, n, false);
+        self.visited_vars.clear();
+        self.stack.clear();
+        self.learnt.clear();
     }
 
     /// Extends the engine to `n` variables; existing state is untouched.
@@ -135,13 +195,17 @@ impl Engine {
         if n <= old {
             return;
         }
-        self.watches.resize(2 * n, Vec::new());
+        if self.watches.len() < 2 * n {
+            self.watches.resize_with(2 * n, Vec::new);
+        }
         self.assign.resize(n, None);
         self.level.resize(n, 0);
         self.reason.resize(n, None);
         self.activity.resize(n, 0.0);
         self.dead.resize(n, false);
         self.phase.resize(n, false);
+        self.seen.resize(n, false);
+        self.visited.resize(n, false);
         for v in old..n {
             self.heap.push((0u64, v as u32));
         }
@@ -183,25 +247,27 @@ impl Engine {
             let mut i = 0;
             while i < list.len() {
                 let ci = list[i];
-                if self.clauses[ci].deleted {
+                let c = &self.clauses[ci];
+                if c.deleted {
                     list.swap_remove(i);
                     continue;
                 }
-                // Make sure the falsified literal is lits[1].
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                let (start, end) = (c.start, c.start + c.len);
+                // Make sure the falsified literal is the second one.
+                if self.arena[start] == false_lit {
+                    self.arena.swap(start, start + 1);
                 }
-                let first = self.clauses[ci].lits[0];
+                let first = self.arena[start];
                 if self.value(first) == Some(true) {
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
                 let mut moved = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    let cand = self.clauses[ci].lits[k];
+                for k in start + 2..end {
+                    let cand = self.arena[k];
                     if self.value(cand) != Some(false) {
-                        self.clauses[ci].lits.swap(1, k);
+                        self.arena.swap(start + 1, k);
                         self.watches[cand.code()].push(ci);
                         list.swap_remove(i);
                         moved = true;
@@ -248,42 +314,42 @@ impl Engine {
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, mut confl: usize) -> (Vec<Lit>, u32) {
-        let mut seen = vec![false; self.assign.len()];
-        let mut learnt: Vec<Lit> = Vec::new();
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first) in `learnt` and returns the backjump level.
+    fn analyze(&mut self, mut confl: usize) -> u32 {
+        self.learnt.clear();
+        self.learnt.push(Lit::from_code(0)); // the asserting slot
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut idx = self.trail.len();
         let cur_level = self.decision_level();
         loop {
             self.bump_clause(confl);
-            let lits: Vec<Lit> = self.clauses[confl].lits.clone();
-            for &q in &lits {
+            for k in self.clauses[confl].range() {
+                let q = self.arena[k];
                 if Some(q) == p {
                     continue;
                 }
                 let v = q.var();
-                if !seen[v.index()] && self.level[v.index()] > 0 {
-                    seen[v.index()] = true;
+                if !self.seen[v.index()] && self.level[v.index()] > 0 {
+                    self.seen[v.index()] = true;
                     self.bump_var(v);
                     if self.level[v.index()] == cur_level {
                         counter += 1;
                     } else {
-                        learnt.push(q);
+                        self.learnt.push(q);
                     }
                 }
             }
             // Walk back the trail to the next marked literal.
             loop {
                 idx -= 1;
-                if seen[self.trail[idx].var().index()] {
+                if self.seen[self.trail[idx].var().index()] {
                     break;
                 }
             }
             let pl = self.trail[idx];
-            seen[pl.var().index()] = false;
+            self.seen[pl.var().index()] = false;
             counter -= 1;
             p = Some(pl);
             if counter == 0 {
@@ -291,57 +357,53 @@ impl Engine {
             }
             confl = self.reason[pl.var().index()].expect("non-decision has a reason");
         }
-        let asserting = !p.expect("loop ran at least once");
-        let mut clause = vec![asserting];
-        clause.extend(learnt);
+        self.learnt[0] = !p.expect("loop ran at least once");
         // Conflict-clause minimization (MiniSat-style self-subsumption):
         // drop any non-asserting literal whose reason is entirely implied
-        // by the other clause literals. `seen` still marks the clause's
-        // variables here.
-        let keep: Vec<bool> = clause
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| i == 0 || !self.lit_redundant(l, &seen))
-            .collect();
-        let mut i = 0;
-        clause.retain(|_| {
-            let k = keep[i];
-            i += 1;
-            k
-        });
+        // by the other clause literals. `seen` marks exactly the
+        // non-asserting literals' variables until every one is checked;
+        // the kept ones move to the front in order.
+        let mut kept = 1;
+        for i in 1..self.learnt.len() {
+            if !self.lit_redundant(self.learnt[i]) {
+                self.learnt.swap(kept, i);
+                kept += 1;
+            }
+        }
+        for i in 1..self.learnt.len() {
+            self.seen[self.learnt[i].var().index()] = false;
+        }
+        self.learnt.truncate(kept);
         // Backjump level: highest level among the non-asserting literals.
-        let bt = clause[1..]
+        self.learnt[1..]
             .iter()
             .map(|l| self.level[l.var().index()])
             .max()
-            .unwrap_or(0);
-        (clause, bt)
+            .unwrap_or(0)
     }
 
     /// Whether `l` is redundant in the learnt clause: every literal in its
     /// reason chain is either at level 0 or already marked in `seen`
     /// (i.e. in the clause). Conservative: a decision literal outside the
     /// clause makes the chain non-redundant.
-    fn lit_redundant(&self, l: Lit, seen: &[bool]) -> bool {
+    fn lit_redundant(&mut self, l: Lit) -> bool {
         let Some(reason0) = self.reason[l.var().index()] else {
             return false; // decision literal: cannot be resolved away
         };
-        let mut stack = vec![reason0];
-        let mut visited: Vec<usize> = Vec::new();
+        self.stack.push(reason0);
         let mut ok = true;
-        'outer: while let Some(ci) = stack.pop() {
-            for &q in &self.clauses[ci].lits {
+        'outer: while let Some(ci) = self.stack.pop() {
+            for k in self.clauses[ci].range() {
+                let q = self.arena[k];
                 let vi = q.var().index();
-                if q.var() == l.var() || self.level[vi] == 0 || seen[vi] {
-                    continue;
-                }
-                if visited.contains(&vi) {
+                if q.var() == l.var() || self.level[vi] == 0 || self.seen[vi] || self.visited[vi] {
                     continue;
                 }
                 match self.reason[vi] {
                     Some(r) => {
-                        visited.push(vi);
-                        stack.push(r);
+                        self.visited[vi] = true;
+                        self.visited_vars.push(vi);
+                        self.stack.push(r);
                     }
                     None => {
                         ok = false;
@@ -349,6 +411,10 @@ impl Engine {
                     }
                 }
             }
+        }
+        self.stack.clear();
+        for vi in self.visited_vars.drain(..) {
+            self.visited[vi] = false;
         }
         ok
     }
@@ -360,30 +426,34 @@ impl Engine {
     /// exactly the previously-enqueued assumptions. Returns `p` together
     /// with the subset of assumption literals whose conjunction already
     /// contradicts `p`.
-    fn analyze_final(&self, p: Lit) -> Vec<Lit> {
+    fn analyze_final(&mut self, p: Lit) -> Vec<Lit> {
         let mut out = vec![p];
         if self.decision_level() == 0 {
             return out;
         }
-        let mut seen = vec![false; self.assign.len()];
-        seen[p.var().index()] = true;
+        self.seen[p.var().index()] = true;
         for i in (self.trail_lim[0]..self.trail.len()).rev() {
             let l = self.trail[i];
             let vi = l.var().index();
-            if !seen[vi] {
+            if !self.seen[vi] {
                 continue;
             }
             match self.reason[vi] {
                 None => out.push(l),
                 Some(ci) => {
-                    for &q in &self.clauses[ci].lits {
+                    for k in self.clauses[ci].range() {
+                        let q = self.arena[k];
                         if self.level[q.var().index()] > 0 {
-                            seen[q.var().index()] = true;
+                            self.seen[q.var().index()] = true;
                         }
                     }
                 }
             }
+            // Reason literals sit earlier on the trail, so no later
+            // step reads this mark again.
+            self.seen[vi] = false;
         }
+        self.seen[p.var().index()] = false;
         out
     }
 
@@ -401,19 +471,21 @@ impl Engine {
         self.qhead = self.trail.len();
     }
 
-    /// Attaches a clause and returns its index; the caller guarantees
-    /// `lits.len() >= 2`.
-    fn attach(&mut self, lits: Vec<Lit>, learnt: bool) -> usize {
+    /// Copies `lits` into the arena, watches its first two literals and
+    /// returns the clause index; the caller guarantees `lits.len() >= 2`.
+    fn attach(&mut self, lits: &[Lit], learnt: bool) -> usize {
         debug_assert!(lits.len() >= 2);
         let ci = self.clauses.len();
         self.watches[lits[0].code()].push(ci);
         self.watches[lits[1].code()].push(ci);
-        self.clauses.push(ClauseData {
-            lits,
+        self.clauses.push(ClauseHeader {
+            start: self.arena.len(),
+            len: lits.len(),
             learnt,
             activity: 0.0,
             deleted: false,
         });
+        self.arena.extend_from_slice(lits);
         if learnt {
             self.num_learnt += 1;
         } else {
@@ -422,13 +494,29 @@ impl Engine {
         ci
     }
 
+    /// Adds the clause [`Engine::analyze`] left in `learnt`, after the
+    /// backjump: a unit is enqueued as a fact, a longer clause is
+    /// attached, bumped and made the reason of its asserting literal.
+    fn learn(&mut self) {
+        let asserting = self.learnt[0];
+        if self.learnt.len() == 1 {
+            self.enqueue(asserting, None);
+        } else {
+            let learnt = std::mem::take(&mut self.learnt);
+            let ci = self.attach(&learnt, true);
+            self.learnt = learnt;
+            self.bump_clause(ci);
+            self.enqueue(asserting, Some(ci));
+        }
+    }
+
     /// Deletes low-activity learnt clauses that are not currently
     /// reasons, emitting one DRAT deletion per clause dropped.
     fn reduce_db<S: ProofSink + ?Sized>(&mut self, sink: &mut S) {
         let mut learnt: Vec<usize> = (0..self.clauses.len())
             .filter(|&ci| {
                 let c = &self.clauses[ci];
-                c.learnt && !c.deleted && c.lits.len() > 2
+                c.learnt && !c.deleted && c.len > 2
             })
             .collect();
         learnt.sort_by(|&a, &b| {
@@ -440,10 +528,8 @@ impl Engine {
         let locked: Vec<bool> = learnt
             .iter()
             .map(|&ci| {
-                self.clauses[ci].lits.first().is_some_and(|l| {
-                    self.reason[l.var().index()] == Some(ci)
-                        && self.assign[l.var().index()].is_some()
-                })
+                let l = self.arena[self.clauses[ci].start];
+                self.reason[l.var().index()] == Some(ci) && self.assign[l.var().index()].is_some()
             })
             .collect();
         let target = learnt.len() / 2;
@@ -459,7 +545,7 @@ impl Engine {
             self.num_learnt -= 1;
             removed += 1;
             if sink.enabled() {
-                sink.delete_clause(&self.clauses[ci].lits);
+                sink.delete_clause(&self.arena[self.clauses[ci].range()]);
             }
         }
         // Deleted clauses are purged from watch lists lazily in propagate().
@@ -503,7 +589,7 @@ fn load_formula(e: &mut Engine, formula: &CnfFormula) -> bool {
                 }
             }
             _ => {
-                e.attach(clause.clone(), false);
+                e.attach(clause, false);
             }
         }
     }
@@ -553,21 +639,14 @@ fn search<P: Probe + ?Sized, S: ProofSink + ?Sized>(
                 sink.add_clause(&[]);
                 return SearchResult::Unsat;
             }
-            let (learnt, bt_level) = e.analyze(confl);
+            let bt_level = e.analyze(confl);
             e.cancel_until(bt_level);
             probe.backtrack(bt_level as usize);
-            probe.learned(learnt.len());
+            probe.learned(e.learnt.len());
             // 1UIP clauses (with self-subsumption minimization) are RUP
             // in emission order — the standard CDCL proof-logging fact.
-            sink.add_clause(&learnt);
-            let asserting = learnt[0];
-            if learnt.len() == 1 {
-                e.enqueue(asserting, None);
-            } else {
-                let ci = e.attach(learnt, true);
-                e.bump_clause(ci);
-                e.enqueue(asserting, Some(ci));
-            }
+            sink.add_clause(&e.learnt);
+            e.learn();
             e.var_inc /= VAR_DECAY;
             e.cla_inc /= CLA_DECAY;
             if e.num_learnt > e.max_learnt {
@@ -651,15 +730,18 @@ fn search<P: Probe + ?Sized, S: ProofSink + ?Sized>(
     }
 }
 
-/// One-shot front-end: fresh engine, no assumptions.
+/// One-shot front-end: `e` reset to a new engine for `formula`, no
+/// assumptions.
 fn run<P: Probe + ?Sized, S: ProofSink + ?Sized>(
+    e: &mut Engine,
     formula: &CnfFormula,
     limits: &Limits,
     probe: &mut P,
     sink: &mut S,
 ) -> Solution {
-    let mut e = Engine::new(formula);
-    if !load_formula(&mut e, formula) {
+    e.reset(formula.num_vars());
+    e.max_learnt = (formula.num_clauses() / 3).max(2000);
+    if !load_formula(e, formula) {
         // An empty clause or contradictory units in the formula itself:
         // the empty clause is RUP over the axioms by unit propagation.
         sink.add_clause(&[]);
@@ -668,7 +750,7 @@ fn run<P: Probe + ?Sized, S: ProofSink + ?Sized>(
             stats: e.stats,
         };
     }
-    let result = search(&mut e, &[], limits, probe, sink);
+    let result = search(e, &[], limits, probe, sink);
     e.stats.learnt_clauses = e.num_learnt as u64;
     let outcome = match result {
         SearchResult::Sat(model) => {
@@ -696,7 +778,7 @@ impl Cdcl {
         self.stats = SolverStats::default();
         let start = probe.enabled().then(Instant::now);
         probe.instance_begin(formula.num_vars(), formula.num_clauses());
-        let solution = run(formula, &self.limits, probe, sink);
+        let solution = run(&mut self.engine, formula, &self.limits, probe, sink);
         self.stats = solution.stats;
         probe.instance_end(
             probe_outcome(&solution.outcome),
@@ -732,6 +814,10 @@ impl Solver for Cdcl {
         }
     }
 
+    fn set_limits(&mut self, limits: Limits) {
+        self.limits = limits;
+    }
+
     fn stats(&self) -> SolverStats {
         self.stats
     }
@@ -760,6 +846,8 @@ pub struct IncrementalCdcl {
     /// Latched false once the clause database itself is UNSAT (a level-0
     /// conflict or an empty clause); every later solve is UNSAT.
     ok: bool,
+    /// The clause `add_clause` is normalizing.
+    clause: Vec<Lit>,
 }
 
 impl IncrementalCdcl {
@@ -773,6 +861,7 @@ impl IncrementalCdcl {
             stats: SolverStats::default(),
             failed: Vec::new(),
             ok: true,
+            clause: Vec::new(),
         }
     }
 
@@ -816,11 +905,14 @@ impl IncrementalCdcl {
     /// normalizes: sorted, deduplicated, tautologies dropped. Literals
     /// already false at level 0 are removed; a clause with a literal
     /// already true at level 0 is dropped as satisfied.
-    pub fn add_clause(&mut self, mut lits: Vec<Lit>) -> bool {
+    pub fn add_clause(&mut self, clause: impl AsRef<[Lit]>) -> bool {
         if !self.ok {
             return false;
         }
         debug_assert_eq!(self.engine.decision_level(), 0);
+        let lits = &mut self.clause;
+        lits.clear();
+        lits.extend_from_slice(clause.as_ref());
         if let Some(max_var) = lits.iter().map(|l| l.var().index()).max() {
             self.engine.grow_to(max_var + 1);
         }
@@ -862,7 +954,7 @@ impl IncrementalCdcl {
         self.engine.grow_to(formula.num_vars());
         let mut ok = true;
         for clause in formula.clauses() {
-            ok &= self.add_clause(clause.clone());
+            ok &= self.add_clause(clause);
         }
         ok
     }
@@ -1012,7 +1104,7 @@ impl IncrementalCdcl {
             .clauses
             .iter()
             .filter(|c| !c.learnt && !c.deleted)
-            .map(|c| c.lits.clone())
+            .map(|c| self.engine.arena[c.range()].to_vec())
             .collect()
     }
 
@@ -1048,6 +1140,7 @@ impl std::fmt::Debug for IncrementalCdcl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CountingProbe, DratProof};
 
     fn lit(i: usize, pos: bool) -> Lit {
         Lit::with_value(Var::from_index(i), pos)
@@ -1137,6 +1230,97 @@ mod tests {
         assert_eq!(sol.outcome, Outcome::Aborted);
         let full = Cdcl::new().solve(&f);
         assert!(full.outcome.is_unsat());
+    }
+
+    /// PHP(`n_p`, `n_h`): pigeon `i` in hole `j` is variable `i * n_h + j`.
+    fn pigeonhole(n_p: usize, n_h: usize) -> CnfFormula {
+        let v = |i: usize, j: usize, pos: bool| lit(i * n_h + j, pos);
+        let mut f = CnfFormula::new(n_p * n_h);
+        for i in 0..n_p {
+            f.add_clause((0..n_h).map(|j| v(i, j, true)).collect());
+        }
+        for j in 0..n_h {
+            for i1 in 0..n_p {
+                for i2 in i1 + 1..n_p {
+                    f.add_clause(vec![v(i1, j, false), v(i2, j, false)]);
+                }
+            }
+        }
+        f
+    }
+
+    /// A random 3-CNF over `vars` variables (a fixed LCG, so the fixture
+    /// never changes).
+    fn random_3cnf(seed: u64, vars: usize, clauses: usize) -> CnfFormula {
+        let mut state = seed;
+        let mut next = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let mut f = CnfFormula::new(vars);
+        for _ in 0..clauses {
+            f.add_clause((0..3).map(|_| lit(next(vars), next(2) == 0)).collect());
+        }
+        f
+    }
+
+    /// One `Cdcl` solving a sequence of formulas (more variables then
+    /// fewer, SAT and UNSAT, learnt-clause deletion, an empty clause,
+    /// contradictory units, an abort on the conflict budget and formulas
+    /// after it) must answer
+    /// each exactly as a new `Cdcl` does: the same outcome, model and
+    /// stats, and the same certified proof steps and probe counters.
+    #[test]
+    fn reused_engine_solves_like_a_new_one() {
+        let mut empty_clause = pigeonhole(3, 3);
+        empty_clause.add_clause(Vec::new());
+        let mut contradictory = random_3cnf(5, 12, 30);
+        contradictory.add_clause(vec![lit(3, true)]);
+        contradictory.add_clause(vec![lit(3, false)]);
+        let none = Limits::none();
+        let cases: Vec<(&str, CnfFormula, Limits, &str)> = vec![
+            ("php(6,5)", pigeonhole(6, 5), none, "unsat"),
+            ("small sat", random_3cnf(1, 8, 20), none, "sat"),
+            ("reduce_db", random_3cnf(2, 200, 852), none, ""),
+            ("empty clause", empty_clause, none, "unsat"),
+            ("php(5,5)", pigeonhole(5, 5), none, "sat"),
+            ("contradictory units", contradictory, none, "unsat"),
+            ("budget", pigeonhole(7, 6), Limits::conflicts(40), "aborted"),
+            ("after abort", random_3cnf(3, 30, 90), none, ""),
+            ("php(5,4)", pigeonhole(5, 4), none, "unsat"),
+            ("fewer vars", random_3cnf(4, 5, 12), none, ""),
+        ];
+        let mut reused = Cdcl::new();
+        let mut deletions = 0;
+        for (name, f, limits, expect) in &cases {
+            reused.set_limits(*limits);
+            let plain = reused.solve(f);
+            assert_eq!(plain, Cdcl::new().with_limits(*limits).solve(f), "{name}");
+            let label = match &plain.outcome {
+                Outcome::Sat(_) => "sat",
+                Outcome::Unsat => "unsat",
+                Outcome::Aborted => "aborted",
+            };
+            assert!(expect.is_empty() || *expect == label, "{name}: {label}");
+
+            let (mut probe, mut proof) = (CountingProbe::new(), DratProof::new());
+            let certified = reused.solve_certified(f, &mut probe, &mut proof);
+            let (mut new_probe, mut new_proof) = (CountingProbe::new(), DratProof::new());
+            let new =
+                Cdcl::new()
+                    .with_limits(*limits)
+                    .solve_certified(f, &mut new_probe, &mut new_proof);
+            assert_eq!(certified, new, "{name}");
+            assert_eq!(certified, plain, "{name}");
+            assert_eq!(reused.stats(), new.stats, "{name}");
+            assert_eq!(proof.steps(), new_proof.steps(), "{name}");
+            assert_eq!(proof.recorded_model(), new_proof.recorded_model(), "{name}");
+            assert_eq!(probe.counters, new_probe.counters, "{name}");
+            deletions += proof.steps().iter().filter(|s| s.delete).count();
+        }
+        assert!(deletions > 0, "the sequence must exercise reduce_db");
     }
 
     #[test]
@@ -1245,7 +1429,8 @@ mod tests {
         let v = |i: usize, j: usize, pos: bool| lit(i * n_h + j, pos);
         let mut s = IncrementalCdcl::new(n_p * n_h + 2);
         for i in 0..n_p {
-            assert!(s.add_clause((0..n_h).map(|j| v(i, j, true)).collect()));
+            let clause: Vec<Lit> = (0..n_h).map(|j| v(i, j, true)).collect();
+            assert!(s.add_clause(clause));
         }
         for j in 0..n_h {
             for i1 in 0..n_p {

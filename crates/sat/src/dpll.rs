@@ -61,7 +61,7 @@ impl State {
         let n = f.num_vars();
         let m = f.num_clauses();
         let mut s = State {
-            clauses: f.clauses().to_vec(),
+            clauses: f.clauses().map(<[Lit]>::to_vec).collect(),
             occ: vec![Vec::new(); n],
             true_count: vec![0; m],
             unassigned_count: vec![0; m],
@@ -336,6 +336,10 @@ impl Solver for Dpll {
         } else {
             self.solve_probed(formula, probe)
         }
+    }
+
+    fn set_limits(&mut self, limits: Limits) {
+        self.limits = limits;
     }
 
     fn stats(&self) -> SolverStats {

@@ -90,6 +90,11 @@ pub trait Solver: Send {
         sink: &mut dyn ProofSink,
     ) -> Solution;
 
+    /// Replaces the resource budget of every later solve. A solver kept
+    /// across instances takes a tighter budget this way without being
+    /// rebuilt.
+    fn set_limits(&mut self, limits: Limits);
+
     /// Work counters of the most recent `solve`/`solve_probed` call on
     /// this instance. Counters are reset at the start of every solve, so
     /// a reused solver never leaks effort across calls.
@@ -357,7 +362,7 @@ mod cross_tests {
             // Oracle formula: base ∧ group, unguarded.
             let mut oracle_f = base.clone();
             for clause in group.clauses() {
-                oracle_f.add_clause(clause.clone());
+                oracle_f.add_lits(clause.iter().copied());
             }
             let extra = Lit::with_value(
                 Var::from_index(rng.random_range(0..vars)),
@@ -382,7 +387,7 @@ mod cross_tests {
                             oracle.outcome.is_sat(),
                             "warm claimed SAT on UNSAT (round {round})"
                         );
-                        for clause in base.clauses().iter().chain(group.clauses()) {
+                        for clause in base.clauses().chain(group.clauses()) {
                             assert!(sat(model, clause), "warm model violates a clause");
                         }
                         for a in &assumptions {

@@ -66,7 +66,7 @@ impl Residual {
         let n = f.num_vars();
         let m = f.num_clauses();
         let mut r = Residual {
-            clauses: f.clauses().to_vec(),
+            clauses: f.clauses().map(<[Lit]>::to_vec).collect(),
             occ: vec![Vec::new(); n],
             true_count: vec![0; m],
             unassigned_count: vec![0; m],
@@ -410,6 +410,10 @@ impl Solver for SimpleBacktracking {
         } else {
             self.solve_probed(formula, probe)
         }
+    }
+
+    fn set_limits(&mut self, limits: Limits) {
+        self.limits = limits;
     }
 
     fn stats(&self) -> SolverStats {

@@ -37,7 +37,6 @@ fn all_solvers() -> Vec<Box<dyn Solver>> {
 /// solver-independent proof crate consumes them.
 fn dimacs_clauses(f: &CnfFormula) -> Vec<Vec<i64>> {
     f.clauses()
-        .iter()
         .map(|c| c.iter().map(|l| l.to_dimacs()).collect())
         .collect()
 }

@@ -194,7 +194,7 @@ proptest! {
     #[test]
     fn falsified_model_is_rejected(base in satisfiable_formula()) {
         let mut events = certified_sat_events(&base);
-        let falsify: Vec<Lit> = base.clauses().first().expect("at least one clause").clone();
+        let falsify: Vec<Lit> = base.clauses().next().expect("at least one clause").to_vec();
         for e in &mut events {
             if let Event::SolveEnd {
                 model: Some(model), ..
