@@ -85,7 +85,7 @@ pub(crate) trait MiterTarget {
     /// A new net, a primary input if `input`; only a netlist calls `name`.
     fn net(&mut self, input: bool, name: impl FnOnce() -> String) -> Self::Net;
     /// Drives `output` by a gate of `kind` over `inputs`.
-    fn gate(&mut self, kind: GateKind, inputs: Vec<Self::Net>, output: Self::Net);
+    fn gate(&mut self, kind: GateKind, inputs: &[Self::Net], output: Self::Net);
     /// Makes `nets` the primary outputs, of which some must be 1.
     fn outputs(&mut self, nets: &[Self::Net]);
 }
@@ -99,8 +99,8 @@ impl MiterTarget for Netlist {
         }
         net
     }
-    fn gate(&mut self, kind: GateKind, inputs: Vec<NetId>, output: NetId) {
-        self.drive_net(output, kind, inputs)
+    fn gate(&mut self, kind: GateKind, inputs: &[NetId], output: NetId) {
+        self.drive_net(output, kind, inputs.to_vec())
             .expect("construction is well-formed");
     }
     fn outputs(&mut self, nets: &[NetId]) {
@@ -114,8 +114,8 @@ impl MiterTarget for CnfFormula {
     fn net(&mut self, _input: bool, _name: impl FnOnce() -> String) -> Var {
         self.new_var()
     }
-    fn gate(&mut self, kind: GateKind, inputs: Vec<Var>, output: Var) {
-        circuit::gate_clauses(self, kind, &inputs, output)
+    fn gate(&mut self, kind: GateKind, inputs: &[Var], output: Var) {
+        circuit::gate_clauses(self, kind, inputs, output)
             .expect("preflighted circuits have no wide XORs");
     }
     fn outputs(&mut self, nets: &[Var]) {
@@ -154,8 +154,10 @@ pub(crate) fn encode(
 
 /// [`build`] into `circuit`, given a topological `order` of `nl` and the
 /// fault net's fan-out `cone` in it ([`topo::fanout_cone_gates`]): the
-/// good copy's nets by original id and its gates in `order`, then the
-/// [`faulty_cone`].
+/// good copy's primary inputs, then its other nets, each by original id,
+/// and its gates in `order`, then the [`faulty_cone`]. Numbering the
+/// inputs first is what lets a one-shot CDCL solve, which breaks activity
+/// ties towards the lowest variable, decide primary inputs first.
 pub(crate) fn build_in<C: MiterTarget>(
     nl: &Netlist,
     fault: Fault,
@@ -169,21 +171,30 @@ pub(crate) fn build_in<C: MiterTarget>(
     let (faulty_of, xor_of_output) = if unobservable {
         // The fault cannot reach any output: CIRCUIT-SAT must be UNSAT.
         let z = circuit.net(false, || "unobservable".into());
-        circuit.gate(GateKind::Const0, Vec::new(), z);
+        circuit.gate(GateKind::Const0, &[], z);
         circuit.outputs(&[z]);
         (vec![None; nl.num_nets()], vec![None; nl.num_outputs()])
     } else {
-        // Good copy: every net of C_ψ^sub, original names preserved,
-        // driven in topological order (C_ψ^sub is fan-in closed).
-        for (id, net) in nl.nets().filter(|(id, _)| sub_nets[id.index()]) {
-            good_of[id.index()] = Some(circuit.net(net.driver.is_none(), || net.name.clone()));
+        // Good copy: every net of C_ψ^sub, primary inputs first, original
+        // names preserved, driven in topological order (C_ψ^sub is fan-in
+        // closed).
+        for input in [true, false] {
+            let nets = nl
+                .nets()
+                .filter(|(id, net)| sub_nets[id.index()] && net.driver.is_none() == input);
+            for (id, net) in nets {
+                good_of[id.index()] = Some(circuit.net(input, || net.name.clone()));
+            }
         }
+        let mut inputs = Vec::new();
         for gate in order.iter().map(|&g| nl.gate(g)) {
             if let Some(out) = good_of[gate.output.index()] {
-                let inputs = (gate.inputs.iter())
-                    .map(|&i| good_of[i.index()].expect("sub is fan-in closed"))
-                    .collect();
-                circuit.gate(gate.kind, inputs, out);
+                inputs.clear();
+                inputs.extend(
+                    (gate.inputs.iter())
+                        .map(|&i| good_of[i.index()].expect("sub is fan-in closed")),
+                );
+                circuit.gate(gate.kind, &inputs, out);
             }
         }
         let good = |n: NetId| good_of[n.index()].expect("inputs of fan-out gates are in sub");
@@ -235,13 +246,14 @@ pub(crate) fn faulty_cone<C: MiterTarget>(
         GateKind::Const0
     };
     let x = faulty_of[fault.net.index()].expect("x is in its own fan-out");
-    circuit.gate(stuck, Vec::new(), x);
+    circuit.gate(stuck, &[], x);
+    let mut inputs = Vec::new();
     for gate in cone.iter().map(|&g| nl.gate(g)) {
-        let inputs = (gate.inputs.iter())
-            .map(|&i| faulty_of[i.index()].unwrap_or_else(|| good(i)))
-            .collect();
+        inputs.clear();
+        inputs
+            .extend((gate.inputs.iter()).map(|&i| faulty_of[i.index()].unwrap_or_else(|| good(i))));
         let out = faulty_of[gate.output.index()].expect("cone outputs are in fo");
-        circuit.gate(gate.kind, inputs, out);
+        circuit.gate(gate.kind, &inputs, out);
     }
     // XOR the affected output pairs; unaffected outputs cannot differ.
     let mut xor_of_output = vec![None; nl.num_outputs()];
@@ -249,7 +261,7 @@ pub(crate) fn faulty_cone<C: MiterTarget>(
     for (pos, &o) in nl.outputs().iter().enumerate() {
         if let Some(f) = faulty_of[o.index()] {
             let z = circuit.net(false, || format!("{}@d", nl.net(o).name));
-            circuit.gate(GateKind::Xor, vec![good(o), f], z);
+            circuit.gate(GateKind::Xor, &[good(o), f], z);
             xor_of_output[pos] = Some(z);
             diffs.push(z);
         }
@@ -442,6 +454,36 @@ mod tests {
             (vars, clauses, lits, sub),
             (1_280_842, 3_839_998, 9_865_714, 885_656)
         );
+    }
+
+    #[test]
+    fn good_copy_numbers_primary_inputs_first() {
+        // Inputs declared after the gates that read them get net ids
+        // between the gates' nets; the miter still numbers them first.
+        let nl = atpg_easy_netlist::parser::bench::parse(
+            "OUTPUT(y)\ny = AND(t, c)\nt = OR(a, b)\nINPUT(a)\nINPUT(b)\nINPUT(c)\n",
+        )
+        .unwrap();
+        let mut ids: Vec<usize> = nl.inputs().iter().map(|pi| pi.index()).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [1, 3, 4]);
+        let y = nl.find_net("y").unwrap();
+        let fs = crate::FaultSimulator::with_cones(&nl);
+        let f = Fault::stuck_at_0(y);
+        let fresh = encode(&nl, f, fs.order(), fs.cone(y), true);
+        let built = build(&nl, f);
+        let enc = circuit::encode(&built.circuit).unwrap();
+        for (target, var_of) in [
+            ("cnf", indices(&fresh.good_of, Var::index)),
+            (
+                "netlist",
+                indices(&built.good_of, |n| enc.var_of(n).index()),
+            ),
+        ] {
+            let mut vars: Vec<_> = nl.inputs().iter().map(|pi| var_of[pi.index()]).collect();
+            vars.sort_unstable();
+            assert_eq!(vars, [0, 1, 2].map(Some), "{target}");
+        }
     }
 
     #[test]

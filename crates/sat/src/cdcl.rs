@@ -20,8 +20,8 @@ use std::time::Instant;
 use atpg_easy_cnf::{CnfFormula, Lit, Var};
 
 use crate::{
-    probe_outcome, Deadline, Limits, NoProbe, NoProof, Outcome, Probe, ProofSink, Solution, Solver,
-    SolverStats,
+    probe_outcome, simple::splitmix64, Deadline, Limits, NoProbe, NoProof, Outcome, Probe,
+    ProofSink, Solution, Solver, SolverStats,
 };
 
 const VAR_DECAY: f64 = 0.95;
@@ -108,7 +108,13 @@ struct Engine {
     dead: Vec<bool>,
     var_inc: f64,
     cla_inc: f64,
+    /// Max-heap of `(activity bits, variable index ^ tie)`, with lazy
+    /// entries: `decide` skips assigned ones.
     heap: BinaryHeap<(u64, u32)>,
+    /// XORed into every variable index the heap holds, so activity ties
+    /// pop the lowest index first at `u32::MAX` (a one-shot solve) and
+    /// the highest at 0 (the warm engine).
+    tie: u32,
     phase: Vec<bool>,
     stats: SolverStats,
     num_learnt: usize,
@@ -151,14 +157,15 @@ fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
 impl Engine {
     fn with_vars(n: usize) -> Self {
         let mut e = Engine::default();
-        e.reset(n);
+        e.reset(n, 0);
         e
     }
 
     /// Puts the engine into the state of a new engine over `n` variables
-    /// with no clauses. Only the buffers' capacity survives, so a reused
+    /// with no clauses, breaking activity ties by `tie` (see
+    /// [`Engine::tie`]). Only the buffers' capacity survives, so a reused
     /// engine searches exactly as a new one would.
-    fn reset(&mut self, n: usize) {
+    fn reset(&mut self, n: usize, tie: u32) {
         self.arena.clear();
         self.clauses.clear();
         self.watches.iter_mut().for_each(Vec::clear);
@@ -176,7 +183,8 @@ impl Engine {
         self.var_inc = 1.0;
         self.cla_inc = 1.0;
         self.heap.clear();
-        self.heap.extend((0..n as u32).map(|v| (0u64, v)));
+        self.heap.extend((0..n as u32).map(|v| (0u64, v ^ tie)));
+        self.tie = tie;
         refill(&mut self.phase, n, false);
         self.stats = SolverStats::default();
         self.num_learnt = 0;
@@ -207,7 +215,7 @@ impl Engine {
         self.seen.resize(n, false);
         self.visited.resize(n, false);
         for v in old..n {
-            self.heap.push((0u64, v as u32));
+            self.heap.push((0u64, v as u32 ^ self.tie));
         }
     }
 
@@ -300,8 +308,10 @@ impl Engine {
             }
             self.var_inc *= 1.0 / RESCALE_LIMIT;
         }
-        self.heap
-            .push((self.activity[v.index()].to_bits(), v.index() as u32));
+        self.heap.push((
+            self.activity[v.index()].to_bits(),
+            v.index() as u32 ^ self.tie,
+        ));
     }
 
     fn bump_clause(&mut self, ci: usize) {
@@ -465,7 +475,8 @@ impl Engine {
                 let vi = l.var().index();
                 self.assign[vi] = None;
                 self.reason[vi] = None;
-                self.heap.push((self.activity[vi].to_bits(), vi as u32));
+                self.heap
+                    .push((self.activity[vi].to_bits(), vi as u32 ^ self.tie));
             }
         }
         self.qhead = self.trail.len();
@@ -552,9 +563,10 @@ impl Engine {
     }
 
     fn decide(&mut self) -> Option<Var> {
-        while let Some((_, v)) = self.heap.pop() {
-            if self.assign[v as usize].is_none() && !self.dead[v as usize] {
-                return Some(Var::from_index(v as usize));
+        while let Some((_, key)) = self.heap.pop() {
+            let v = (key ^ self.tie) as usize;
+            if self.assign[v].is_none() && !self.dead[v] {
+                return Some(Var::from_index(v));
             }
         }
         // Fallback: linear scan (heap entries are lazy and may run out).
@@ -730,8 +742,26 @@ fn search<P: Probe + ?Sized, S: ProofSink + ?Sized>(
     }
 }
 
+/// The saved phases a one-shot solve starts from: the top bit of a hash
+/// of each variable's index and a seed taken from the formula's size.
+/// Each instance starts from its own random-like vector, and the start
+/// stays a function of the formula alone.
+fn seed_phases(phase: &mut [bool], formula: &CnfFormula) {
+    let size = [
+        formula.num_vars(),
+        formula.num_clauses(),
+        formula.num_literals(),
+    ];
+    let seed = size.iter().fold(0, |h, &x| splitmix64(h ^ x as u64));
+    for (v, p) in phase.iter_mut().enumerate() {
+        *p = splitmix64(seed ^ v as u64) >> 63 == 1;
+    }
+}
+
 /// One-shot front-end: `e` reset to a new engine for `formula`, no
-/// assumptions.
+/// assumptions. Activity ties go to the lowest index, so with a circuit
+/// numbered inputs first the search decides primary inputs first and
+/// lets propagation set the rest, each from its [`seed_phases`] phase.
 fn run<P: Probe + ?Sized, S: ProofSink + ?Sized>(
     e: &mut Engine,
     formula: &CnfFormula,
@@ -739,7 +769,8 @@ fn run<P: Probe + ?Sized, S: ProofSink + ?Sized>(
     probe: &mut P,
     sink: &mut S,
 ) -> Solution {
-    e.reset(formula.num_vars());
+    e.reset(formula.num_vars(), u32::MAX);
+    seed_phases(&mut e.phase, formula);
     e.max_learnt = (formula.num_clauses() / 3).max(2000);
     if !load_formula(e, formula) {
         // An empty clause or contradictory units in the formula itself:
@@ -1321,6 +1352,59 @@ mod tests {
             deletions += proof.steps().iter().filter(|s| s.delete).count();
         }
         assert!(deletions > 0, "the sequence must exercise reduce_db");
+    }
+
+    #[test]
+    fn fresh_solve_starts_from_the_seeded_phases() {
+        // With no clauses nothing propagates: every variable is one
+        // decision, made in its starting phase.
+        let f = CnfFormula::new(40);
+        let sol = Cdcl::new().solve(&f);
+        let mut phases = vec![false; 40];
+        seed_phases(&mut phases, &f);
+        assert_eq!(sol.stats.decisions, 40);
+        assert_eq!(sol.outcome.model(), Some(&phases[..]));
+        assert!(phases.contains(&true) && phases.contains(&false));
+    }
+
+    /// `x_i = x_0 ⊕ flip[i]` for every `i > 0`: one decision sets every
+    /// variable, and a first decision `x_v = p` makes `x_0 = p ⊕ flip[v]`.
+    fn linked(flip: &[bool]) -> CnfFormula {
+        let mut f = CnfFormula::new(flip.len());
+        for (i, &s) in flip.iter().enumerate().skip(1) {
+            f.add_clause(vec![lit(0, false), lit(i, !s)]);
+            f.add_clause(vec![lit(0, true), lit(i, s)]);
+        }
+        f
+    }
+
+    #[test]
+    fn fresh_solve_decides_the_lowest_variable_first() {
+        // The flips depend only on the formula's size, so the seeded
+        // phases are those of the final formula. They make `x_0` keep its
+        // own phase only if variable 0 was decided first.
+        let n = 12;
+        let mut phases = vec![false; n];
+        seed_phases(&mut phases, &linked(&vec![false; n]));
+        let flip: Vec<bool> = phases.iter().map(|&p| p == phases[0]).collect();
+        let f = linked(&flip);
+        let sol = Cdcl::new().solve(&f);
+        assert_eq!(sol.stats.decisions, 1);
+        assert_eq!(sol.outcome.model().expect("SAT")[0], phases[0]);
+    }
+
+    #[test]
+    fn incremental_solve_decides_the_highest_variable_first() {
+        // The warm engine starts every phase at `false`; only a first
+        // decision on the last variable makes `x_0` true.
+        let n = 12;
+        let mut flip = vec![false; n];
+        flip[n - 1] = true;
+        let mut s = IncrementalCdcl::new(n);
+        assert!(s.add_formula(&linked(&flip)));
+        let sol = s.solve_assuming(&[]);
+        assert_eq!(sol.stats.decisions, 1);
+        assert!(sol.outcome.model().expect("SAT")[0]);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! End-to-end ATPG integration tests across generators, miter, solvers,
 //! fault simulation and verification.
 
+use std::collections::HashMap;
+
 use atpg_easy::atpg::campaign::{self, run, AtpgConfig, FaultOutcome, SolverChoice};
+use atpg_easy::atpg::parallel::AtpgCampaign;
 use atpg_easy::atpg::{fault, miter, verify, Fault, IncrementalAtpg};
 use atpg_easy::circuits::{adders, comparator, mux, parity, random, suite};
 use atpg_easy::cnf::circuit;
@@ -65,6 +68,80 @@ fn miter_matches_exhaustive_on_random_circuits() {
                     }
                     FaultOutcome::Untestable => assert!(!truth, "{engine}: {at} is testable"),
                     other => panic!("{engine}: {at}: {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn campaign_verdicts_match_exhaustive_on_random_circuits() {
+    // Every record of whole campaigns, through each engine fresh and
+    // warm: sequential with and without random patterns, certified, and
+    // parallel at 2 threads with windows 1 and 16. Dropping and random
+    // patterns retire faults by simulation, so this checks the verdicts
+    // the campaigns report, not only single solves.
+    for seed in 0..20 {
+        let raw = random::generate(&random::RandomCircuitConfig {
+            gates: 30,
+            inputs: 6 + seed as usize % 7,
+            seed,
+            ..Default::default()
+        })
+        .unwrap();
+        let nl = decompose::decompose(&raw, 3).unwrap();
+        let mut truth = HashMap::new();
+        for incremental in [false, true] {
+            let config = AtpgConfig {
+                incremental,
+                ..AtpgConfig::default()
+            };
+            let parallel = |window| {
+                AtpgCampaign::new(config)
+                    .with_threads(2)
+                    .with_commit_window(window)
+                    .run(&nl)
+                    .result
+            };
+            let runs = [
+                ("patterns 0", run(&nl, &config)),
+                (
+                    "patterns 64",
+                    run(
+                        &nl,
+                        &AtpgConfig {
+                            random_patterns: 64,
+                            ..config
+                        },
+                    ),
+                ),
+                ("certified", campaign::run_certified(&nl, &config).result),
+                ("window 1", parallel(1)),
+                ("window 16", parallel(16)),
+            ];
+            for (engine, result) in &runs {
+                for r in &result.records {
+                    let f = r.fault;
+                    let testable = *truth
+                        .entry(f)
+                        .or_insert_with(|| detectable_exhaustive(&nl, f));
+                    let at = format!(
+                        "seed {seed}, incremental {incremental}, {engine}, fault {}",
+                        f.describe(&nl)
+                    );
+                    match &r.outcome {
+                        FaultOutcome::Detected(v) => {
+                            assert!(testable, "{at}: untestable fault detected");
+                            assert!(verify::detects(&nl, f, v), "{at}: vector is no test");
+                        }
+                        FaultOutcome::DetectedBySimulation => {
+                            assert!(testable, "{at}: untestable fault detected");
+                        }
+                        FaultOutcome::Untestable | FaultOutcome::StaticallyRedundant => {
+                            assert!(!testable, "{at}: testable fault called untestable");
+                        }
+                        FaultOutcome::Aborted => panic!("{at}: aborted"),
+                    }
                 }
             }
         }
