@@ -168,10 +168,8 @@ impl ProofSink for StreamSink {
 /// the proof stream that re-derives every verdict.
 #[derive(Debug)]
 pub struct CertifiedRun {
-    /// Identical in behavior to [`campaign::run`](crate::campaign::run)'s
-    /// result, except that with the caching solver cache-hit pruning is
-    /// disabled (verdicts are unchanged; node counts differ) so every
-    /// UNSAT verdict has a full derivation.
+    /// Identical to [`campaign::run`](crate::campaign::run)'s result:
+    /// proof logging changes no search step.
     pub result: CampaignResult,
     /// One trace per SAT instance, with `proof_bytes` filled in.
     pub traces: Vec<InstanceTrace>,

@@ -35,7 +35,7 @@ use std::time::Duration;
 use atpg_easy_netlist::sim::{Lanes, PatternBlock};
 use atpg_easy_netlist::Netlist;
 use atpg_easy_obs::{Counters, CountingProbe, InstanceTrace};
-use atpg_easy_sat::{Limits, Solver};
+use atpg_easy_sat::{Cdcl, Limits};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -218,8 +218,8 @@ impl Solved {
 enum Backend {
     /// One persistent incremental solver (`config.incremental`).
     Warm(Box<IncrementalAtpg>),
-    /// One `config.solver`, reused for every fault's fresh instance.
-    Fresh(Box<dyn Solver>),
+    /// One CDCL solver, reused for every fault's fresh instance.
+    Fresh(Box<Cdcl>),
 }
 
 /// Everything a solve mutates: the solver, the optional proof stream and
@@ -238,9 +238,9 @@ pub(crate) struct SolverContext {
 
 impl SolverContext {
     /// A context over `nl`. With `config.incremental` it encodes a warm
-    /// solver, else it builds one `config.solver` for every fresh
-    /// instance; with `certified` it logs every solve into its own proof
-    /// stream; with `counted` it observes every solve through a
+    /// solver, else it builds one [`Cdcl`] for every fresh instance;
+    /// with `certified` it logs every solve into its own proof stream;
+    /// with `counted` it observes every solve through a
     /// [`CountingProbe`] (an untraced sequential solve stays unprobed);
     /// with `trace_worker` each solve carries its [`InstanceTrace`],
     /// stamped with that worker id (tracing needs `counted`).
@@ -259,7 +259,7 @@ impl SolverContext {
             }
             Backend::Warm(Box::new(warm))
         } else {
-            Backend::Fresh(config.solver.make(config.limits))
+            Backend::Fresh(Box::new(Cdcl::new().with_limits(config.limits)))
         };
         SolverContext {
             backend,
@@ -295,7 +295,7 @@ impl SolverContext {
             Backend::Fresh(solver) => {
                 let order = setup.fs.order();
                 let m = miter::encode(nl, f, order, cone, config.activation_clause);
-                campaign::solve_instance(nl, &m, &mut **solver, counting, cert)
+                campaign::solve_instance(nl, &m, solver, counting, cert)
             }
         };
         let proof_bytes = self

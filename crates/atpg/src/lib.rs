@@ -20,7 +20,7 @@
 //!   inputs only, objective/backtrace), cross-checked against the SAT
 //!   engines;
 //! - [`campaign`]: the TEGUS-style loop — one ATPG-SAT instance per fault,
-//!   any [`Solver`](atpg_easy_sat::Solver), optional fault dropping —
+//!   solved by CDCL, optional fault dropping —
 //!   which is exactly the experiment behind the paper's Figure 1;
 //! - [`driver`]: the one campaign state machine, in three parts — a
 //!   read-only setup (preflight, collapse, static prune, cone simulator,

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use atpg_easy_atpg::campaign::{self, AtpgConfig, SolverChoice};
+use atpg_easy_atpg::campaign::{self, AtpgConfig};
 use atpg_easy_atpg::fault;
 use atpg_easy_circuits::random::{self, RandomCircuitConfig};
 use atpg_easy_circuits::suite::NamedCircuit;
@@ -46,11 +46,10 @@ pub struct Fig1Point {
     pub outcome: &'static str,
 }
 
-/// Configuration for [`figure1`].
+/// Configuration for [`figure1`]. Every instance is solved by CDCL, the
+/// stand-in for the paper's TEGUS.
 #[derive(Debug, Clone, Copy)]
 pub struct Figure1Config {
-    /// Solver backing the campaign (the paper used TEGUS ≈ CDCL).
-    pub solver: SolverChoice,
     /// Per-instance budget.
     pub limits: Limits,
     /// Fan-in bound for the tech-decomposition pre-pass.
@@ -63,7 +62,6 @@ pub struct Figure1Config {
 impl Default for Figure1Config {
     fn default() -> Self {
         Figure1Config {
-            solver: SolverChoice::Cdcl,
             limits: Limits::none(),
             decompose_fanin: 3,
             max_faults_per_circuit: None,
@@ -84,17 +82,9 @@ pub fn figure1(circuits: &[NamedCircuit], config: &Figure1Config) -> Vec<Fig1Poi
             .expect("suite circuits decompose");
         // Sub-sample by collapsing in campaign and optionally capping.
         let cfg = AtpgConfig {
-            solver: config.solver,
             limits: config.limits,
-            activation_clause: true,
             fault_dropping: false,
-            collapse: true,
-            dominance: false,
-            random_patterns: 0,
-            seed: 1,
-            preflight: true,
-            incremental: false,
-            static_prune: false,
+            ..AtpgConfig::default()
         };
         let result = campaign::run(&nl, &cfg);
         let mut records: Vec<&campaign::FaultRecord> = result.sat_records().collect();

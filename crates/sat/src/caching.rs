@@ -366,10 +366,6 @@ impl Solver for CachingBacktracking {
         }
     }
 
-    fn set_limits(&mut self, limits: Limits) {
-        self.limits = limits;
-    }
-
     fn stats(&self) -> SolverStats {
         self.stats
     }

@@ -53,6 +53,13 @@ impl Cdcl {
         self.limits = limits;
         self
     }
+
+    /// Replaces the resource budget of every later solve. A campaign
+    /// that keeps one solver across its faults tightens `max_wall` this
+    /// way as a served request's deadline approaches.
+    pub fn set_limits(&mut self, limits: Limits) {
+        self.limits = limits;
+    }
 }
 
 impl std::fmt::Debug for Cdcl {
@@ -843,10 +850,6 @@ impl Solver for Cdcl {
         } else {
             self.solve_probed(formula, probe)
         }
-    }
-
-    fn set_limits(&mut self, limits: Limits) {
-        self.limits = limits;
     }
 
     fn stats(&self) -> SolverStats {

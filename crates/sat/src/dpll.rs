@@ -338,10 +338,6 @@ impl Solver for Dpll {
         }
     }
 
-    fn set_limits(&mut self, limits: Limits) {
-        self.limits = limits;
-    }
-
     fn stats(&self) -> SolverStats {
         self.stats
     }

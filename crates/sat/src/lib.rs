@@ -59,17 +59,13 @@ use atpg_easy_cnf::CnfFormula;
 
 /// Common interface for all solvers.
 ///
-/// `Send` is a supertrait so `Box<dyn Solver>` can be owned by worker
-/// threads in parallel campaign engines; every solver here is plain owned
-/// data, so the bound is free.
-///
 /// Each solver implements both entry points through one internal body
 /// generic over `P: Probe + ?Sized`: [`Solver::solve`] instantiates it at
 /// [`NoProbe`] (a zero-sized type whose event methods are empty, so the
 /// calls monomorphize away — the `probe` bench guards this), while
 /// [`Solver::solve_probed`] instantiates it at `dyn Probe` and pays one
 /// virtual call per event only when someone is listening.
-pub trait Solver: Send {
+pub trait Solver {
     /// Decides satisfiability of `formula` with no observer attached.
     fn solve(&mut self, formula: &CnfFormula) -> Solution;
 
@@ -89,11 +85,6 @@ pub trait Solver: Send {
         probe: &mut dyn Probe,
         sink: &mut dyn ProofSink,
     ) -> Solution;
-
-    /// Replaces the resource budget of every later solve. A solver kept
-    /// across instances takes a tighter budget this way without being
-    /// rebuilt.
-    fn set_limits(&mut self, limits: Limits);
 
     /// Work counters of the most recent `solve`/`solve_probed` call on
     /// this instance. Counters are reset at the start of every solve, so

@@ -412,10 +412,6 @@ impl Solver for SimpleBacktracking {
         }
     }
 
-    fn set_limits(&mut self, limits: Limits) {
-        self.limits = limits;
-    }
-
     fn stats(&self) -> SolverStats {
         self.stats
     }

@@ -12,7 +12,9 @@
 //! | `type`     | fields                                                  |
 //! |------------|---------------------------------------------------------|
 //! | `campaign` | `id`, `netlist` (ISCAS-89 bench text), option fields;   |
-//! |            | `patterns` at most [`MAX_PATTERNS`], else `bad_field`   |
+//! |            | `patterns` at most [`MAX_PATTERNS`], else `bad_field`;  |
+//! |            | `solver` only `cdcl` (campaigns solve with CDCL), any   |
+//! |            | other name `bad_field`                                  |
 //! | `cancel`   | `id`                                                    |
 //! | `ping`     | —                                                       |
 //! | `stats`    | —                                                       |
@@ -155,7 +157,10 @@ pub struct CampaignOptions {
     pub patterns: u64,
     /// Random-phase seed (`seed`, default 1).
     pub seed: u64,
-    /// Solver backend (`solver`: `cdcl`/`dpll`/`caching`/`simple`).
+    /// Solver backend: always CDCL. The wire field `solver` accepts only
+    /// `cdcl`, so clients that send it keep working; any other name is
+    /// `bad_field`. The field remains only because the `campaign_bench`
+    /// benchmark names it, and [`Request::render`] never writes it.
     pub solver: SolverChoice,
     /// Warm incremental solving (`incremental`, default false).
     pub incremental: bool,
@@ -206,7 +211,6 @@ impl CampaignOptions {
     /// deadline is clamped in later, per scheduling quantum.
     pub fn to_config(&self) -> AtpgConfig {
         AtpgConfig {
-            solver: self.solver,
             limits: Limits {
                 max_nodes: self.max_nodes,
                 max_conflicts: self.max_conflicts,
@@ -265,18 +269,12 @@ impl Request {
                     options.seed = n;
                 }
                 if let Some(s) = f.opt::<String>("solver")? {
-                    options.solver = match s.as_str() {
-                        "cdcl" => SolverChoice::Cdcl,
-                        "dpll" => SolverChoice::Dpll,
-                        "caching" => SolverChoice::Caching,
-                        "simple" => SolverChoice::Simple,
-                        other => {
-                            return Err(ProtoError::new(
-                                ErrorCode::BadField,
-                                format!("unknown solver `{other}`"),
-                            ))
-                        }
-                    };
+                    if s != "cdcl" {
+                        return Err(ProtoError::new(
+                            ErrorCode::BadField,
+                            format!("unknown solver `{s}`: campaigns solve with cdcl"),
+                        ));
+                    }
                 }
                 if let Some(b) = f.opt("incremental")? {
                     options.incremental = b;
@@ -335,15 +333,6 @@ impl Request {
                 }
                 if options.seed != d.seed {
                     push_num(&mut s, "seed", options.seed);
-                }
-                if options.solver != d.solver {
-                    let name = match options.solver {
-                        SolverChoice::Cdcl => "cdcl",
-                        SolverChoice::Dpll => "dpll",
-                        SolverChoice::Caching => "caching",
-                        SolverChoice::Simple => "simple",
-                    };
-                    push_str(&mut s, "solver", name);
                 }
                 if options.incremental != d.incremental {
                     push_bool(&mut s, "incremental", options.incremental);
@@ -798,7 +787,7 @@ mod tests {
             options: CampaignOptions {
                 patterns: 64,
                 seed: 9,
-                solver: SolverChoice::Dpll,
+                solver: SolverChoice::Cdcl,
                 incremental: true,
                 static_prune: true,
                 certify: true,
@@ -920,6 +909,18 @@ mod tests {
                 ErrorCode::BadField,
             ),
             (
+                "{\"type\":\"campaign\",\"id\":\"x\",\"netlist\":\"\",\"solver\":\"dpll\"}",
+                ErrorCode::BadField,
+            ),
+            (
+                "{\"type\":\"campaign\",\"id\":\"x\",\"netlist\":\"\",\"solver\":\"caching\"}",
+                ErrorCode::BadField,
+            ),
+            (
+                "{\"type\":\"campaign\",\"id\":\"x\",\"netlist\":\"\",\"solver\":\"simple\"}",
+                ErrorCode::BadField,
+            ),
+            (
                 "{\"type\":\"campaign\",\"id\":\"x\",\"netlist\":\"\",\"seed\":true}",
                 ErrorCode::BadField,
             ),
@@ -936,5 +937,11 @@ mod tests {
             let err = Request::parse(line).unwrap_err();
             assert_eq!(err.code, code, "line: {line} -> {err}");
         }
+        // Campaigns solve with CDCL; clients that name it still parse.
+        let line = "{\"type\":\"campaign\",\"id\":\"x\",\"netlist\":\"\",\"solver\":\"cdcl\"}";
+        let Ok(Request::Campaign { options, .. }) = Request::parse(line) else {
+            panic!("`solver: cdcl` must parse");
+        };
+        assert_eq!(options, CampaignOptions::default());
     }
 }

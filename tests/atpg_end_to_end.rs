@@ -3,10 +3,10 @@
 
 use std::collections::HashMap;
 
-use atpg_easy::atpg::campaign::{self, run, AtpgConfig, FaultOutcome, SolverChoice};
+use atpg_easy::atpg::campaign::{self, run, AtpgConfig, FaultOutcome};
 use atpg_easy::atpg::parallel::AtpgCampaign;
 use atpg_easy::atpg::{fault, miter, verify, Fault, IncrementalAtpg};
-use atpg_easy::circuits::{adders, comparator, mux, parity, random, suite};
+use atpg_easy::circuits::{adders, comparator, parity, random, suite};
 use atpg_easy::cnf::circuit;
 use atpg_easy::netlist::{decompose, sim, Netlist};
 use atpg_easy::sat::{Cdcl, Solver};
@@ -119,6 +119,12 @@ fn campaign_verdicts_match_exhaustive_on_random_circuits() {
                 ("window 1", parallel(1)),
                 ("window 16", parallel(16)),
             ];
+            // Proof logging changes no search step.
+            assert_eq!(
+                runs[2].1.canonical_report(),
+                runs[0].1.canonical_report(),
+                "seed {seed}, incremental {incremental}: certified run differs"
+            );
             for (engine, result) in &runs {
                 for r in &result.records {
                     let f = r.fault;
@@ -169,35 +175,6 @@ fn campaign_full_coverage_on_testable_circuits() {
             if let FaultOutcome::Detected(v) = &r.outcome {
                 assert!(verify::detects(&nl, r.fault, v));
             }
-        }
-    }
-}
-
-#[test]
-fn solver_choices_agree_on_verdicts() {
-    let nl = decompose::decompose(&mux::mux_tree(2), 3).unwrap();
-    let mut verdicts: Option<Vec<bool>> = None;
-    for solver in [
-        SolverChoice::Cdcl,
-        SolverChoice::Dpll,
-        SolverChoice::Caching,
-    ] {
-        let res = run(
-            &nl,
-            &AtpgConfig {
-                solver,
-                fault_dropping: false,
-                ..AtpgConfig::default()
-            },
-        );
-        let v: Vec<bool> = res
-            .records
-            .iter()
-            .map(|r| matches!(r.outcome, FaultOutcome::Detected(_)))
-            .collect();
-        match &verdicts {
-            None => verdicts = Some(v),
-            Some(expect) => assert_eq!(expect, &v, "{solver:?}"),
         }
     }
 }

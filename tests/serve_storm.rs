@@ -15,7 +15,10 @@
 //!   tenant's queue to completion before rotating), even while other
 //!   tenants' work interleaves on the same workers;
 //! - **counters reconcile**: admitted = completed, active drains to 0,
-//!   and the shed counter matches what clients saw.
+//!   and the shed counter matches what clients saw;
+//! - **costly requests are refused up front**: a campaign that names a
+//!   solver other than CDCL gets a typed error at parse and is never
+//!   admitted.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,7 +28,8 @@ use atpg_easy::atpg::campaign;
 use atpg_easy::circuits::suite;
 use atpg_easy::netlist::parser::bench;
 use atpg_easy::serve::{
-    CampaignOptions, DoneStatus, PipeClient, Request, Response, ServeConfig, Server, Submission,
+    CampaignOptions, DoneStatus, ErrorCode, PipeClient, Request, Response, ServeConfig, Server,
+    Submission,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -233,4 +237,39 @@ fn pipelined_campaigns_complete_in_submission_order_per_tenant() {
     assert_eq!(stats.completed, TENANTS * PER_TENANT as u64);
     assert_eq!(stats.shed, 0);
     assert_eq!(stats.active, 0);
+}
+
+/// The costliest request the `solver` field used to admit: the 6×6 array
+/// multiplier under the caching solver, which once ran past 300 s and
+/// 1.5 GiB in the daemon. Campaigns solve with CDCL, so the line is
+/// refused at parse: an id-less `bad_field`, nothing admitted, and the
+/// connection keeps serving.
+#[test]
+fn caching_solver_request_is_refused_at_parse() {
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = PipeClient::connect(&server);
+    client.set_recv_timeout(Some(RECV_TIMEOUT));
+    let netlist = bench::write(&suite::c6288_like().netlist).expect("suite renders");
+    let line = Request::Campaign {
+        id: "c6288w".into(),
+        netlist,
+        options: CampaignOptions::default(),
+    }
+    .render();
+    let object = line.strip_suffix('}').expect("a JSON object");
+    client
+        .send_raw(&format!("{object},\"solver\":\"caching\"}}"))
+        .expect("send");
+    match client.recv().expect("a reply") {
+        Response::Error { id, code, msg } => {
+            assert_eq!(code, ErrorCode::BadField, "{msg}");
+            assert_eq!(id, None, "refused at parse: {msg}");
+        }
+        other => panic!("expected a bad_field error, got {other:?}"),
+    }
+    assert_eq!(server.stats().admitted, 0);
+    client.ping().expect("the connection still answers");
 }
