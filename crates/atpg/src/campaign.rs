@@ -217,11 +217,13 @@ impl CampaignResult {
     }
 
     /// Canonical textual rendering of everything deterministic in the
-    /// result. Wall-clock `solve_time` is excluded (it varies run to run);
-    /// every other field — outcomes, test vectors, instance sizes, solver
-    /// counters — is included. Two campaigns are behaviorally identical
-    /// iff their canonical reports are byte-identical; the parallel engine
-    /// uses this to assert thread-count independence.
+    /// result. Wall-clock `solve_time` is excluded (it varies run to run),
+    /// and so are the caching solver's `cache_hits` and `cache_entries`,
+    /// which a campaign's CDCL solver never sets; every other field —
+    /// outcomes, test vectors, instance sizes, solver counters — is
+    /// included. Two campaigns are behaviorally identical iff their
+    /// canonical reports are byte-identical; the parallel engine uses this
+    /// to assert thread-count independence.
     pub fn canonical_report(&self) -> String {
         use std::fmt::Write as _;
         fn bits(v: &[bool]) -> String {
@@ -240,7 +242,7 @@ impl CampaignResult {
             writeln!(
                 out,
                 "fault net={} sa{} {} vars={} clauses={} sub={} nodes={} decisions={} \
-                 props={} conflicts={} cache_hits={} cache_entries={} learnt={} restarts={}",
+                 props={} conflicts={} learnt={} restarts={}",
                 r.fault.net.index(),
                 u8::from(r.fault.stuck),
                 outcome,
@@ -251,8 +253,6 @@ impl CampaignResult {
                 s.decisions,
                 s.propagations,
                 s.conflicts,
-                s.cache_hits,
-                s.cache_entries,
                 s.learnt_clauses,
                 s.restarts
             )

@@ -7,15 +7,15 @@
 //!   and the random-pattern phase. The parallel engine builds one and
 //!   shares it by reference with every worker.
 //! - **Solver context** (`SolverContext`) owns the optional warm
-//!   [`IncrementalAtpg`], the optional [`StreamSink`] proof stream,
-//!   whether solves are observed through a counting probe and whether
-//!   each solve yields an [`InstanceTrace`]. It is the only place a fault
-//!   gets solved; each parallel worker owns one.
+//!   [`IncrementalAtpg`], the optional [`StreamSink`] proof stream and
+//!   whether each solve yields an [`InstanceTrace`], observed through a
+//!   counting probe. It is the only place a fault gets solved; each
+//!   parallel worker owns one.
 //! - **Commit state** (`CommitState`) holds the detected bits, the tests,
 //!   the records and the traces. Applying a verdict's drop hits, keeping
 //!   its trace and emitting records go through it, from
-//!   [`CampaignDriver::step`] and from the parallel commit loop alike, so
-//!   a solve that never commits leaves no trace.
+//!   [`CampaignDriver::step`] and from the parallel workers' commits
+//!   alike, so a solve that never commits leaves no trace.
 //!
 //! [`CampaignDriver`] is the sequential composition of the three and the
 //! primitive the serving layer schedules: construction builds the setup;
@@ -185,8 +185,6 @@ pub(crate) struct Solved {
     /// vector detects, as ascending indices into the setup's fault list
     /// (empty otherwise).
     hits: Vec<usize>,
-    /// Probe-derived event totals (zero unless the context counts).
-    pub(crate) counters: Counters,
     /// Proof bytes the solve logged (0 unless certified).
     pub(crate) proof_bytes: u64,
     /// The instance's trace line, when the context traces.
@@ -194,9 +192,10 @@ pub(crate) struct Solved {
 }
 
 impl Solved {
-    /// The instance's trace line; `seq` is the fault index, which is also
-    /// the record's index in the campaign result.
-    fn instance_trace(&self, nl: &Netlist, worker: u64) -> InstanceTrace {
+    /// The instance's trace line with the solve's probe `counters`; `seq`
+    /// is the fault index, which is also the record's index in the
+    /// campaign result.
+    fn instance_trace(&self, nl: &Netlist, worker: u64, counters: Counters) -> InstanceTrace {
         let r = &self.record;
         InstanceTrace {
             seq: self.index as u64,
@@ -209,7 +208,7 @@ impl Solved {
             wall_ns: r.solve_time.as_nanos() as u64,
             worker,
             proof_bytes: self.proof_bytes,
-            counters: self.counters,
+            counters,
         }
     }
 }
@@ -227,9 +226,8 @@ enum Backend {
 pub(crate) struct SolverContext {
     backend: Backend,
     sink: Option<StreamSink>,
-    counted: bool,
     /// The worker id stamped on each solve's trace; `None` when the
-    /// campaign does not trace.
+    /// campaign does not trace, and then solves are not probed.
     trace_worker: Option<u64>,
     bufs: SimBuffers,
     /// The live fault indices of the current drop, reused across solves.
@@ -240,14 +238,12 @@ impl SolverContext {
     /// A context over `nl`. With `config.incremental` it encodes a warm
     /// solver, else it builds one [`Cdcl`] for every fresh instance;
     /// with `certified` it logs every solve into its own proof stream;
-    /// with `counted` it observes every solve through a
-    /// [`CountingProbe`] (an untraced sequential solve stays unprobed);
-    /// with `trace_worker` each solve carries its [`InstanceTrace`],
-    /// stamped with that worker id (tracing needs `counted`).
+    /// with `trace_worker` it observes every solve through a
+    /// [`CountingProbe`] and each solve carries its [`InstanceTrace`],
+    /// stamped with that worker id (an untraced solve stays unprobed).
     pub(crate) fn new(
         nl: &Netlist,
         config: &AtpgConfig,
-        counted: bool,
         trace_worker: Option<u64>,
         certified: bool,
     ) -> Self {
@@ -264,7 +260,6 @@ impl SolverContext {
         SolverContext {
             backend,
             sink,
-            counted,
             trace_worker,
             bufs: SimBuffers::default(),
             live: Vec::new(),
@@ -287,7 +282,7 @@ impl SolverContext {
     ) -> Solved {
         let f = setup.faults[index];
         let mut probe = CountingProbe::default();
-        let counting = self.counted.then_some(&mut probe);
+        let counting = self.trace_worker.is_some().then_some(&mut probe);
         let cert = self.sink.as_mut().map(|s| (index, s));
         let cone = setup.fs.cone(f.net);
         let record = match &mut self.backend {
@@ -325,13 +320,12 @@ impl SolverContext {
             index,
             record,
             hits,
-            counters: probe.counters,
             proof_bytes,
             trace: None,
         };
         solved.trace = self
             .trace_worker
-            .map(|worker| solved.instance_trace(nl, worker));
+            .map(|worker| solved.instance_trace(nl, worker, probe.counters));
         solved
     }
 
@@ -431,7 +425,7 @@ impl CampaignDriver {
         certified: bool,
     ) -> Result<Self, DriverError> {
         let (setup, commit) = CampaignSetup::new(&nl, config)?;
-        let solver = SolverContext::new(&nl, config, tracing, tracing.then_some(0), certified);
+        let solver = SolverContext::new(&nl, config, tracing.then_some(0), certified);
         let sim_detected = commit.detected.iter().filter(|&&d| d).count();
         Ok(CampaignDriver {
             nl,

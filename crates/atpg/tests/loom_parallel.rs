@@ -1,10 +1,11 @@
-//! Model-checked exploration of the parallel campaign engine's lock-free
-//! core: the drop-bitmap publish/read protocol and the in-order committer
-//! hand-off. Compiled only under `RUSTFLAGS="--cfg loom"`, where
-//! `atpg_easy_syncx` swaps the production atomics for the vendored model
-//! checker's — so these tests explore the *production* `DropBitmap` type,
-//! not a copy. The shared fault cursor needs no scenario: it is one
-//! `fetch_add`, which hands out each index once under any schedule.
+//! Model-checked exploration of the parallel campaign engine's
+//! concurrent core: the drop-bitmap publish/read protocol and the
+//! workers' own commits under the commit lock. Compiled only under
+//! `RUSTFLAGS="--cfg loom"`, where `atpg_easy_syncx` swaps the production
+//! atomics and `Mutex` for the vendored model checker's — so these tests
+//! explore the *production* `DropBitmap` type, not a copy. The shared
+//! fault cursor needs no scenario of its own: it is one `fetch_add`,
+//! which hands out each index once under any schedule.
 //!
 //! Run with:
 //!
@@ -13,12 +14,13 @@
 //! ```
 #![cfg(loom)]
 
+use std::collections::BTreeMap;
 use std::sync::Mutex as StdMutex;
 
 use atpg_easy_atpg::DropBitmap;
+use atpg_easy_syncx::Mutex;
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::Arc;
-
 /// Scenario 1a — drop-bit publish racing a fault-skip read: bits are
 /// monotone, and because the committer sets them in commit order, a
 /// worker that observes a later bit must also observe every earlier one
@@ -66,142 +68,160 @@ fn bitmap_same_word_sets_never_lose_a_bit() {
     });
 }
 
-/// Scenario 2a — in-order committer vs speculative worker completion.
-///
-/// Models the engine's hand-off protocol on 2 faults: the committer
-/// retires fault 0 and its test vector also covers fault 1 (so it sets
-/// fault 1's drop bit), while a worker races the bit with a speculative
-/// solve of fault 1. Whatever the schedule: the worker always delivers
-/// exactly one message (solved or skipped — no deadlock at the frontier),
-/// and the committed outcome is identical — fault 0 solved, fault 1
-/// dropped — whether or not the worker's speculation was wasted.
-#[test]
-fn committer_handoff_is_schedule_independent() {
-    // Committed outcomes across ALL explored schedules must collapse to
-    // one value; collect them outside the model and check after.
-    let outcomes: std::sync::Arc<StdMutex<Vec<Vec<&'static str>>>> =
-        std::sync::Arc::new(StdMutex::new(Vec::new()));
-    let sink = std::sync::Arc::clone(&outcomes);
-    loom::model(move || {
-        let bits = Arc::new(DropBitmap::new(2));
-        // 0 = in flight, 1 = solved speculatively, 2 = skipped (saw bit).
-        let mailbox = Arc::new(AtomicUsize::new(0));
-        let (b_w, m_w) = (Arc::clone(&bits), Arc::clone(&mailbox));
-        let worker = loom::thread::spawn(move || {
-            // Speculative path: check the drop bit, then "solve".
-            if b_w.get(1) {
-                m_w.store(2, Ordering::SeqCst);
-            } else {
-                m_w.store(1, Ordering::SeqCst);
-            }
-        });
-        // Committer: fault 0 is its own work; its vector covers fault 1.
-        let mut committed = Vec::new();
-        committed.push("solve:0");
-        bits.set(1);
-        // Frontier moves to fault 1: its bit is set (by us), so it
-        // retires as dropped — but the worker's message must still be
-        // consumed, whatever it says.
-        let msg = loop {
-            match mailbox.load(Ordering::SeqCst) {
-                0 => loom::thread::yield_now(),
-                m => break m,
-            }
-        };
-        assert!(msg == 1 || msg == 2, "worker delivered exactly one verdict");
-        committed.push("drop:1");
-        worker.join().expect("worker thread");
-        sink.lock().expect("outcome sink").push(committed);
-    });
-    let seen = outcomes.lock().expect("outcome sink");
-    assert!(!seen.is_empty());
-    assert!(
-        seen.iter().all(|c| c == &vec!["solve:0", "drop:1"]),
-        "committed outcome varied across schedules: {seen:?}"
-    );
+/// One emitted record: the fault index and how the fault was retired.
+type Record = (usize, &'static str);
+
+/// The commit state of scenarios 2a and 2b, over two faults: a miniature
+/// of the engine's `Committer`. A filed solve is the fault index and the
+/// later faults its test vector detects.
+#[derive(Default)]
+struct Commit {
+    detected: [bool; 2],
+    pending: BTreeMap<usize, Vec<usize>>,
+    held: BTreeMap<usize, Record>,
+    records: Vec<Record>,
 }
 
-/// Scenario 2b — speculative completion *ahead* of the frontier: the
-/// worker finishes fault 1 before fault 0 is committed in some schedules,
-/// yet the commit order is always 0 then 1.
-#[test]
-fn commit_order_is_frontier_order_not_completion_order() {
-    let outcomes: std::sync::Arc<StdMutex<Vec<Vec<usize>>>> =
-        std::sync::Arc::new(StdMutex::new(Vec::new()));
-    let sink = std::sync::Arc::clone(&outcomes);
-    loom::model(move || {
-        let done1 = Arc::new(AtomicUsize::new(0));
-        let d_w = Arc::clone(&done1);
-        let worker = loom::thread::spawn(move || d_w.store(1, Ordering::SeqCst));
-        let mut order = Vec::new();
-        // Fault 0 commits first regardless of when the worker finished 1.
-        order.push(0);
-        while done1.load(Ordering::SeqCst) == 0 {
-            loom::thread::yield_now();
+impl Commit {
+    /// Marks the solved fault and its hits detected, publishing each new
+    /// drop bit, and returns the solved record.
+    fn commit(&mut self, index: usize, hits: Vec<usize>, bits: &DropBitmap) -> Record {
+        for j in std::iter::once(index).chain(hits) {
+            if !self.detected[j] {
+                self.detected[j] = true;
+                bits.set(j);
+            }
         }
-        order.push(1);
-        worker.join().expect("worker thread");
-        sink.lock().expect("outcome sink").push(order);
-    });
-    let seen = outcomes.lock().expect("outcome sink");
-    assert!(seen.iter().all(|o| o == &vec![0, 1]));
+        (index, "solve")
+    }
+
+    /// The engine's drain: emit at the frontier as far as filed solves
+    /// reach, commit filed solves inside the window ahead of it, and
+    /// repeat until a window pass commits nothing.
+    fn drain(&mut self, bits: &DropBitmap, window: usize) {
+        loop {
+            while self.records.len() < 2 {
+                let f = self.records.len();
+                let record = if let Some(record) = self.held.remove(&f) {
+                    record
+                } else if self.detected[f] {
+                    self.pending.remove(&f);
+                    (f, "drop")
+                } else if let Some(hits) = self.pending.remove(&f) {
+                    self.commit(f, hits, bits)
+                } else {
+                    break;
+                };
+                self.records.push(record);
+            }
+            let (held, f) = (self.held.len(), self.records.len());
+            let eligible: Vec<usize> = self.pending.range(f..f + window).map(|(&i, _)| i).collect();
+            for i in eligible {
+                if !self.detected[i] {
+                    let hits = self.pending.remove(&i).expect("eligible faults are filed");
+                    let record = self.commit(i, hits, bits);
+                    self.held.insert(i, record);
+                }
+            }
+            if self.held.len() == held {
+                break;
+            }
+        }
+    }
 }
 
-/// Scenario 2c — windowed commit hand-off: with a commit window ≥ 2, a
-/// solve arriving ahead of the frontier commits immediately — its drop
-/// bit is published before the frontier fault is even solved — while its
-/// record is merely *held*. Whatever the schedule: a worker racing the
-/// early bit delivers exactly one verdict (skip or solve, no deadlock),
-/// and emission is still strict frontier order because the held record
-/// fills the gap the moment the frontier fault lands.
-#[test]
-fn window_handoff_publishes_early_and_emits_in_order() {
-    let outcomes: std::sync::Arc<StdMutex<Vec<Vec<&'static str>>>> =
+/// Explores two workers over two faults, whose test vector for fault 0
+/// also detects fault 1, at commit window `window`, and returns the
+/// records every schedule emitted.
+///
+/// Each worker takes indices from a shared cursor, skips an index whose
+/// drop bit is set, "solves" the others — finding fault 0's hit on fault
+/// 1 only while bit 1 reads clear, as the engine's live-fault filter does
+/// — and commits under the facade `Mutex`: it files the solve unless the
+/// frontier has passed it, then drains. No worker waits for the other
+/// except for that lock. After the join, every fault not yet emitted must
+/// be retired or filed, so the calling thread's last drain completes the
+/// records alone.
+fn explore(window: usize) -> Vec<Vec<Record>> {
+    let outcomes: std::sync::Arc<StdMutex<Vec<Vec<Record>>>> =
         std::sync::Arc::new(StdMutex::new(Vec::new()));
     let sink = std::sync::Arc::clone(&outcomes);
     loom::model(move || {
         let bits = Arc::new(DropBitmap::new(2));
-        // 0 = in flight, 1 = solved speculatively, 2 = skipped (saw bit).
-        let mailbox = Arc::new(AtomicUsize::new(0));
-        let (b_w, m_w) = (Arc::clone(&bits), Arc::clone(&mailbox));
-        // Worker: owns fault 0 (the frontier fault) and re-checks its
-        // drop bit immediately before the speculative solve.
-        let worker = loom::thread::spawn(move || {
-            if b_w.get(0) {
-                m_w.store(2, Ordering::SeqCst);
-            } else {
-                m_w.store(1, Ordering::SeqCst);
-            }
-        });
-        // Committer: fault 1's solve already arrived and sits inside the
-        // window, so it commits ahead of the frontier — bit published
-        // now, record held for in-order emission. Its test vector also
-        // covers fault 0, so bit 0 is published too.
-        bits.set(1);
-        bits.set(0);
-        let held = "commit:1";
-        let mut emitted = Vec::new();
-        // Frontier fault 0: its bit is set (by the speculative commit),
-        // so it retires as dropped — but the worker's message must still
-        // be consumed, whatever it says.
-        let msg = loop {
-            match mailbox.load(Ordering::SeqCst) {
-                0 => loom::thread::yield_now(),
-                m => break m,
-            }
-        };
-        assert!(msg == 1 || msg == 2, "worker delivered exactly one verdict");
-        emitted.push("drop:0");
-        emitted.push(held);
-        worker.join().expect("worker thread");
-        // Monotone: the early-published bits are visible to any later read.
-        assert!(bits.get(0) && bits.get(1));
-        sink.lock().expect("outcome sink").push(emitted);
+        let cursor = Arc::new(AtomicUsize::new(0));
+        let commit = Arc::new(Mutex::new(Commit::default()));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let (bits, cursor, commit) =
+                    (Arc::clone(&bits), Arc::clone(&cursor), Arc::clone(&commit));
+                loom::thread::spawn(move || loop {
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    if index >= 2 {
+                        return;
+                    }
+                    if bits.get(index) {
+                        continue;
+                    }
+                    let hits = if index == 0 && !bits.get(1) {
+                        vec![1]
+                    } else {
+                        Vec::new()
+                    };
+                    let mut c = commit.lock().expect("model mutex");
+                    if index >= c.records.len() {
+                        c.pending.insert(index, hits);
+                    }
+                    c.drain(&bits, window);
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().expect("worker thread");
+        }
+        let mut c = commit.lock().expect("model mutex");
+        for f in c.records.len()..2 {
+            assert!(
+                c.detected[f] || c.pending.contains_key(&f) || c.held.contains_key(&f),
+                "fault {f} waits on a worker that has exited"
+            );
+        }
+        c.drain(&bits, window);
+        assert!(bits.get(0) && bits.get(1), "both faults end detected");
+        sink.lock().expect("outcome sink").push(c.records.clone());
     });
-    let seen = outcomes.lock().expect("outcome sink");
+    let seen = outcomes.lock().expect("outcome sink").clone();
     assert!(!seen.is_empty());
+    seen
+}
+
+/// Scenario 2a — workers commit their own solves at window 1: whichever
+/// worker solves first and whatever it sees of the drop bits, every
+/// schedule emits the sequential engine's records, fault 0 solved and
+/// fault 1 dropped by its test, in index order.
+#[test]
+fn worker_commits_emit_sequential_records_at_window_1() {
+    for records in explore(1) {
+        assert_eq!(records, vec![(0, "solve"), (1, "drop")], "window 1");
+    }
+}
+
+/// Scenario 2b — workers commit ahead of the frontier at window 2: a solve
+/// for fault 1 that is filed first commits at once, publishing its drop
+/// bit before fault 0 is solved, and its record is held. Which of the two
+/// retires fault 1 depends on the schedule, but every schedule emits both
+/// faults in index order with the same verdict, detected.
+#[test]
+fn worker_commits_emit_in_index_order_at_window_2() {
+    let mut kinds = Vec::new();
+    for records in explore(2) {
+        let indices: Vec<usize> = records.iter().map(|r| r.0).collect();
+        assert_eq!(indices, vec![0, 1], "records emit in index order");
+        assert_eq!(records[0], (0, "solve"), "fault 0 has no earlier test");
+        kinds.push(records[1].1);
+    }
+    // Both retirements of fault 1 occur, so the window is exercised.
     assert!(
-        seen.iter().all(|c| c == &vec!["drop:0", "commit:1"]),
-        "emission order varied across schedules: {seen:?}"
+        kinds.contains(&"drop") && kinds.contains(&"solve"),
+        "{kinds:?}"
     );
 }

@@ -178,7 +178,7 @@ fn main() {
 
     // Waste regression gate: speculative-solve waste must not blow up
     // with parallelism now that workers check the drop bitmap before
-    // every solve and the committer applies tests inside the window. The
+    // every solve and commits apply tests inside the window. The
     // gate only covers runs that fit the host — on an oversubscribed run
     // workers sit descheduled between the bitmap re-check and the solve,
     // so its waste measures the kernel scheduler, not the engine. The

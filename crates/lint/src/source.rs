@@ -1,8 +1,8 @@
 //! `S*` passes: static analysis of the workspace's own Rust source.
 //!
-//! The parallel campaign engine (`atpg::parallel`) is lock-free code:
-//! its correctness rests on atomic-ordering choices that the compiler
-//! cannot check. These passes make the *justifications* for those
+//! The parallel campaign engine (`atpg::parallel`) shares its fault
+//! cursor and drop bitmap lock-free: their correctness rests on
+//! atomic-ordering choices that the compiler cannot check. These passes make the *justifications* for those
 //! choices machine-checkable conventions instead of tribal knowledge:
 //!
 //! - **S001** — every `unsafe` block, fn, trait or impl carries a
