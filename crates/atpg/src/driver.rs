@@ -1,11 +1,16 @@
 //! The campaign state machine: the TEGUS loop of [`campaign::run`]
 //! unrolled into a handle that is driven one fault at a time, built from
-//! the three parts every campaign engine shares.
+//! the parts every campaign engine shares.
 //!
-//! - **Setup** (`CampaignSetup`) is read-only once built: the preflight,
-//!   fault collapse, the static-prune mask, the cone [`FaultSimulator`]
-//!   and the random-pattern phase. The parallel engine builds one and
-//!   shares it by reference with every worker.
+//! - **Setup** is read-only once built, in two layers. The per-netlist
+//!   [`NetlistSetup`] depends only on the netlist and the fault-list
+//!   options: the preflight verdict, fault collapse, the cone
+//!   [`FaultSimulator`] and the static-prune mask, computed on first
+//!   `static_prune` use. The per-campaign `CampaignSetup` applies the
+//!   prune or not and runs the random-pattern phase. The parallel engine
+//!   builds one of each and shares them by reference with every worker;
+//!   the serving layer keeps one [`NetlistSetup`] per netlist behind an
+//!   [`Arc`] and starts every campaign on it.
 //! - **Solver context** (`SolverContext`) owns the optional warm
 //!   [`IncrementalAtpg`], the optional [`StreamSink`] proof stream and
 //!   whether each solve yields an [`InstanceTrace`], observed through a
@@ -30,6 +35,8 @@
 //! stepping a driver to completion is *by construction* byte-identical to
 //! the library path — the contract the serve e2e golden test pins.
 
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use atpg_easy_netlist::sim::{Lanes, PatternBlock};
@@ -64,25 +71,54 @@ impl std::fmt::Display for DriverError {
 
 impl std::error::Error for DriverError {}
 
-/// The read-only part of a campaign: the targeted fault list, the
-/// static-prune mask and the cone fault simulator.
-pub(crate) struct CampaignSetup {
-    pub(crate) faults: Vec<Fault>,
-    pruned: Vec<bool>,
+/// The part of a campaign's setup that depends only on the netlist and
+/// the fault-list options (`collapse` and `dominance`): the preflight
+/// verdict, the collapsed fault list, the cone [`FaultSimulator`] and the
+/// static-prune mask, which `implic` computes on first `static_prune`
+/// use.
+///
+/// Campaigns only read it, so one serves any number of them: the `serve`
+/// daemon caches one per netlist behind an [`Arc`] and starts each
+/// campaign on it with [`CampaignDriver::with_setup`].
+/// [`CampaignDriver::try_new`] and the parallel engine build an unshared
+/// one per run through the same code, over the netlist they own or
+/// borrow.
+pub struct NetlistSetup<'n> {
+    nl: Cow<'n, Netlist>,
+    /// The fault-list options the setup was built with.
+    collapse: bool,
+    dominance: bool,
+    /// Whether the netlist passed the preflight (`false`: not run).
+    preflighted: bool,
+    faults: Vec<Fault>,
     fs: FaultSimulator,
+    /// Per fault, whether `implic` proves it redundant.
+    redundant: OnceLock<Vec<bool>>,
 }
 
-impl CampaignSetup {
-    /// Runs the preflight, fault collapse, the static implication
-    /// pre-pass and the random-pattern phase over `nl`. Returns the setup
-    /// and the commit state the random phase seeds: its detected bits and
-    /// the batches that retired at least one fault.
-    pub(crate) fn new(
-        nl: &Netlist,
-        config: &AtpgConfig,
-    ) -> Result<(Self, CommitState), DriverError> {
+impl NetlistSetup<'static> {
+    /// Runs the preflight (with `config.preflight`), fault collapse (by
+    /// `config.collapse` and `config.dominance`) and the cone
+    /// precomputation over `nl`, which the setup keeps.
+    ///
+    /// # Errors
+    ///
+    /// With `config.preflight` set, a netlist that fails the lint
+    /// preflight returns [`DriverError::Preflight`].
+    pub fn new(nl: Netlist, config: &AtpgConfig) -> Result<Self, DriverError> {
+        Self::build(Cow::Owned(nl), config)
+    }
+}
+
+impl<'n> NetlistSetup<'n> {
+    /// Like [`NetlistSetup::new`], over a borrowed netlist.
+    pub(crate) fn borrowed(nl: &'n Netlist, config: &AtpgConfig) -> Result<Self, DriverError> {
+        Self::build(Cow::Borrowed(nl), config)
+    }
+
+    fn build(nl: Cow<'n, Netlist>, config: &AtpgConfig) -> Result<Self, DriverError> {
         if config.preflight {
-            let report = atpg_easy_lint::preflight(nl);
+            let report = atpg_easy_lint::preflight(&nl);
             if report.has_errors() {
                 return Err(DriverError::Preflight(format!(
                     "netlist `{}` failed ATPG preflight:\n{}",
@@ -92,33 +128,115 @@ impl CampaignSetup {
             }
         }
         let faults = if config.dominance {
-            fault::collapse_with_dominance(nl)
+            fault::collapse_with_dominance(&nl)
         } else if config.collapse {
-            fault::collapse(nl)
+            fault::collapse(&nl)
         } else {
-            fault::all_faults(nl)
+            fault::all_faults(&nl)
         };
-        let pruned = if config.static_prune {
-            let analysis = atpg_easy_implic::analyze(nl);
-            faults
+        let fs = FaultSimulator::with_cones(&nl);
+        Ok(NetlistSetup {
+            nl,
+            collapse: config.collapse,
+            dominance: config.dominance,
+            preflighted: config.preflight,
+            faults,
+            fs,
+            redundant: OnceLock::new(),
+        })
+    }
+
+    /// The circuit.
+    pub fn netlist(&self) -> &Netlist {
+        &self.nl
+    }
+
+    /// Whether a campaign under `config` may run on this setup: it was
+    /// built with the same fault-list options, and with the preflight if
+    /// `config` asks for one.
+    pub fn serves(&self, config: &AtpgConfig) -> bool {
+        self.collapse == config.collapse
+            && self.dominance == config.dominance
+            && (self.preflighted || !config.preflight)
+    }
+
+    /// Heap bytes the setup holds once its prune mask exists, counted by
+    /// capacity: the netlist when owned, the fault list, the cone
+    /// simulator and one byte per fault for the mask, computed or not.
+    pub fn heap_bytes(&self) -> usize {
+        let nl = match &self.nl {
+            Cow::Owned(nl) => nl.heap_bytes(),
+            Cow::Borrowed(_) => 0,
+        };
+        nl + self.faults.capacity() * std::mem::size_of::<Fault>()
+            + self.fs.heap_bytes()
+            + self.faults.len()
+    }
+
+    /// The static-prune mask, computed on the first call.
+    fn redundant(&self) -> &[bool] {
+        self.redundant.get_or_init(|| {
+            let analysis = atpg_easy_implic::analyze(&self.nl);
+            self.faults
                 .iter()
                 .map(|f| analysis.is_redundant(f.net, f.stuck))
                 .collect()
-        } else {
-            vec![false; faults.len()]
-        };
-        let fs = FaultSimulator::with_cones(nl);
-        let mut detected = vec![false; faults.len()];
-        let tests = random_phase(nl, config, &fs, &faults, &pruned, &mut detected);
+        })
+    }
+}
+
+/// One campaign's view of its [`NetlistSetup`]: the shared part plus the
+/// static-prune mask the campaign applies, if any.
+#[derive(Clone, Copy)]
+pub(crate) struct CampaignSetup<'s> {
+    shared: &'s NetlistSetup<'s>,
+    pruned: Option<&'s [bool]>,
+}
+
+impl<'s> CampaignSetup<'s> {
+    /// Applies `config.static_prune` to `shared` and runs the
+    /// random-pattern phase. Returns the view and the commit state the
+    /// random phase seeds: its detected bits and the batches that
+    /// retired at least one fault.
+    pub(crate) fn new(shared: &'s NetlistSetup<'s>, config: &AtpgConfig) -> (Self, CommitState) {
+        let setup = Self::view(shared, config.static_prune);
+        let faults = setup.faults().len();
+        let mut detected = vec![false; faults];
+        let tests = random_phase(config, &setup, &mut detected);
         let commit = CommitState {
             detected,
             result: CampaignResult {
-                records: Vec::with_capacity(faults.len()),
+                records: Vec::with_capacity(faults),
                 tests,
             },
             traces: Vec::new(),
         };
-        Ok((CampaignSetup { faults, pruned, fs }, commit))
+        (setup, commit)
+    }
+
+    /// The view of `shared` with the prune applied or not.
+    fn view(shared: &'s NetlistSetup<'s>, static_prune: bool) -> Self {
+        CampaignSetup {
+            shared,
+            pruned: static_prune.then(|| shared.redundant()),
+        }
+    }
+
+    pub(crate) fn netlist(&self) -> &'s Netlist {
+        &self.shared.nl
+    }
+
+    pub(crate) fn faults(&self) -> &'s [Fault] {
+        &self.shared.faults
+    }
+
+    fn fs(&self) -> &'s FaultSimulator {
+        &self.shared.fs
+    }
+
+    /// Whether fault `i` is statically pruned in this campaign.
+    fn is_pruned(&self, i: usize) -> bool {
+        self.pruned.is_some_and(|p| p[i])
     }
 }
 
@@ -139,18 +257,16 @@ impl CampaignSetup {
 /// single cone resimulation per live fault, with every per-net buffer
 /// reused across batches.
 fn random_phase(
-    nl: &Netlist,
     config: &AtpgConfig,
-    fs: &FaultSimulator,
-    faults: &[Fault],
-    pruned: &[bool],
+    setup: &CampaignSetup,
     detected: &mut [bool],
 ) -> Vec<Vec<bool>> {
     let mut tests = Vec::new();
+    let (nl, faults) = (setup.netlist(), setup.faults());
     if config.random_patterns == 0 || nl.num_inputs() == 0 {
         return tests;
     }
-    let mut live: Vec<usize> = (0..faults.len()).filter(|&i| !pruned[i]).collect();
+    let mut live: Vec<usize> = (0..faults.len()).filter(|&i| !setup.is_pruned(i)).collect();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut bufs = SimBuffers::default();
     let mut remaining = config.random_patterns;
@@ -161,7 +277,9 @@ fn random_phase(
             .map(|_| (0..nl.num_inputs()).map(|_| rng.random_bool(0.5)).collect())
             .collect();
         let live_faults = live.iter().map(|&i| faults[i]);
-        let masks = fs.detect_batch_in(nl, &vectors, live_faults, &mut bufs.blocks);
+        let masks = setup
+            .fs()
+            .detect_batch_in(nl, &vectors, live_faults, &mut bufs.blocks);
         let before = live.len();
         let mut masks = masks.iter();
         live.retain(|&i| {
@@ -274,21 +392,21 @@ impl SolverContext {
     /// verdict.
     pub(crate) fn solve(
         &mut self,
-        nl: &Netlist,
         config: &AtpgConfig,
         setup: &CampaignSetup,
         index: usize,
         live: impl IntoIterator<Item = usize>,
     ) -> Solved {
-        let f = setup.faults[index];
+        let (nl, fs) = (setup.netlist(), setup.fs());
+        let f = setup.faults()[index];
         let mut probe = CountingProbe::default();
         let counting = self.trace_worker.is_some().then_some(&mut probe);
         let cert = self.sink.as_mut().map(|s| (index, s));
-        let cone = setup.fs.cone(f.net);
+        let cone = fs.cone(f.net);
         let record = match &mut self.backend {
             Backend::Warm(warm) => warm.solve_fault_with(f, config, cone, counting, cert),
             Backend::Fresh(solver) => {
-                let order = setup.fs.order();
+                let order = fs.order();
                 let m = miter::encode(nl, f, order, cone, config.activation_clause);
                 campaign::solve_instance(nl, &m, solver, counting, cert)
             }
@@ -301,10 +419,10 @@ impl SolverContext {
             FaultOutcome::Detected(vector) if config.fault_dropping => {
                 self.live.clear();
                 self.live.extend(live);
-                let masks = setup.fs.detect_batch_in(
+                let masks = fs.detect_batch_in(
                     nl,
                     std::slice::from_ref(vector),
-                    self.live.iter().map(|&j| setup.faults[j]),
+                    self.live.iter().map(|&j| setup.faults()[j]),
                     &mut self.bufs.words,
                 );
                 self.live
@@ -356,19 +474,19 @@ impl CommitState {
     /// Whether fault `i` still needs a solve: neither statically pruned
     /// nor detected by a committed test.
     pub(crate) fn needs_solve(&self, setup: &CampaignSetup, i: usize) -> bool {
-        !setup.pruned[i] && !self.detected[i]
+        !setup.is_pruned(i) && !self.detected[i]
     }
 
     /// The record of fault `i` if it needs no solve.
     pub(crate) fn retired(&self, setup: &CampaignSetup, i: usize) -> Option<FaultRecord> {
-        let outcome = if setup.pruned[i] {
+        let outcome = if setup.is_pruned(i) {
             FaultOutcome::StaticallyRedundant
         } else if self.detected[i] {
             FaultOutcome::DetectedBySimulation
         } else {
             return None;
         };
-        Some(FaultRecord::unsolved(setup.faults[i], outcome))
+        Some(FaultRecord::unsolved(setup.faults()[i], outcome))
     }
 
     /// Applies a solved verdict: a detected fault and every fault its
@@ -392,13 +510,12 @@ impl CommitState {
 
 /// A campaign paused between faults.
 ///
-/// Owns everything the loop needs — netlist, setup, solver context and
-/// commit state — so the handle is `'static`: it can be queued, moved
-/// across worker threads and resumed later.
+/// Owns everything the loop needs — a shared [`NetlistSetup`], solver
+/// context and commit state — so the handle is `'static`: it can be
+/// queued, moved across worker threads and resumed later.
 pub struct CampaignDriver {
-    nl: Netlist,
+    setup: Arc<NetlistSetup<'static>>,
     config: AtpgConfig,
-    setup: CampaignSetup,
     solver: SolverContext,
     commit: CommitState,
     next: usize,
@@ -424,24 +541,46 @@ impl CampaignDriver {
         tracing: bool,
         certified: bool,
     ) -> Result<Self, DriverError> {
-        let (setup, commit) = CampaignSetup::new(&nl, config)?;
-        let solver = SolverContext::new(&nl, config, tracing.then_some(0), certified);
+        let setup = Arc::new(NetlistSetup::new(nl, config)?);
+        Ok(Self::with_setup(setup, config, tracing, certified))
+    }
+
+    /// Builds a driver like [`CampaignDriver::try_new`] on a netlist
+    /// setup that other campaigns may share: only the per-campaign part
+    /// runs — the prune applied or not, the random-pattern phase, the
+    /// solver context and the commit state. The first campaign with
+    /// `static_prune` computes the setup's prune mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `setup` [serves](NetlistSetup::serves) `config`.
+    pub fn with_setup(
+        setup: Arc<NetlistSetup<'static>>,
+        config: &AtpgConfig,
+        tracing: bool,
+        certified: bool,
+    ) -> Self {
+        assert!(
+            setup.serves(config),
+            "the netlist setup was built with other fault-list or preflight options"
+        );
+        let (view, commit) = CampaignSetup::new(&setup, config);
+        let solver = SolverContext::new(view.netlist(), config, tracing.then_some(0), certified);
         let sim_detected = commit.detected.iter().filter(|&&d| d).count();
-        Ok(CampaignDriver {
-            nl,
-            config: *config,
+        CampaignDriver {
             setup,
+            config: *config,
             solver,
             commit,
             next: 0,
             last_proof_bytes: 0,
             sim_detected,
-        })
+        }
     }
 
     /// The circuit this campaign targets.
     pub fn netlist(&self) -> &Netlist {
-        &self.nl
+        self.setup.netlist()
     }
 
     /// The (possibly tightened) configuration driving the loop.
@@ -475,7 +614,8 @@ impl CampaignDriver {
     /// Faults the static implication pre-pass proved redundant (0 unless
     /// `config.static_prune`); these are retired without a SAT instance.
     pub fn static_pruned(&self) -> usize {
-        self.setup.pruned.iter().filter(|&&p| p).count()
+        let setup = CampaignSetup::view(&self.setup, self.config.static_prune);
+        setup.pruned.map_or(0, |p| p.iter().filter(|&&p| p).count())
     }
 
     /// Whether every fault has been stepped or abandoned.
@@ -527,7 +667,8 @@ impl CampaignDriver {
             return None;
         }
         self.next = i + 1;
-        let record = match self.commit.retired(&self.setup, i) {
+        let setup = CampaignSetup::view(&self.setup, self.config.static_prune);
+        let record = match self.commit.retired(&setup, i) {
             Some(record) => {
                 self.last_proof_bytes = 0;
                 record
@@ -536,9 +677,9 @@ impl CampaignDriver {
                 // Every fault at or behind the cursor already has its
                 // record, so only later faults that still need a solve
                 // can be dropped.
-                let (setup, commit) = (&self.setup, &self.commit);
-                let live = (i + 1..setup.faults.len()).filter(|&j| commit.needs_solve(setup, j));
-                let solved = self.solver.solve(&self.nl, &self.config, setup, i, live);
+                let commit = &self.commit;
+                let live = (i + 1..setup.faults().len()).filter(|&j| commit.needs_solve(&setup, j));
+                let solved = self.solver.solve(&self.config, &setup, i, live);
                 self.last_proof_bytes = solved.proof_bytes;
                 self.commit.commit(solved, |_| {})
             }
@@ -567,7 +708,7 @@ impl CampaignDriver {
 impl std::fmt::Debug for CampaignDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CampaignDriver")
-            .field("circuit", &self.nl.name())
+            .field("circuit", &self.netlist().name())
             .field("faults", &self.setup.faults.len())
             .field("position", &self.next)
             .field("tracing", &self.solver.trace_worker.is_some())
@@ -669,6 +810,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One netlist setup reused across campaigns gives each the driver
+    /// `try_new` builds: neither the prune mask an earlier campaign
+    /// computed nor its random phase shows in a later one.
+    #[test]
+    fn shared_setup_drives_like_a_fresh_one() {
+        use atpg_easy_circuits::suite;
+        for circuit in suite::mcnc_like().into_iter().chain(suite::iscas_like()) {
+            let nl = &circuit.netlist;
+            let shared = Arc::new(NetlistSetup::new(nl.clone(), &AtpgConfig::default()).unwrap());
+            for random_patterns in [0, 64, 256] {
+                for incremental in [false, true] {
+                    for static_prune in [false, true] {
+                        let config = AtpgConfig {
+                            random_patterns,
+                            incremental,
+                            static_prune,
+                            ..AtpgConfig::default()
+                        };
+                        let run = |mut d: CampaignDriver| {
+                            let counts = (d.sim_detected(), d.static_pruned());
+                            while d.step().is_some() {}
+                            (d.into_result(), counts)
+                        };
+                        let fresh = CampaignDriver::try_new(nl.clone(), &config, false, false);
+                        let (want, want_counts) = run(fresh.unwrap());
+                        let reused =
+                            CampaignDriver::with_setup(shared.clone(), &config, false, false);
+                        let (got, got_counts) = run(reused);
+                        let at = format!("{} under {config:?}", circuit.name);
+                        assert_eq!(got.canonical_report(), want.canonical_report(), "{at}");
+                        assert_eq!(got.tests, want.tests, "{at}");
+                        assert_eq!(got_counts, want_counts, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "other fault-list or preflight options")]
+    fn a_setup_refuses_other_fault_list_options() {
+        let shared = Arc::new(NetlistSetup::new(c17(), &AtpgConfig::default()).unwrap());
+        let config = AtpgConfig {
+            dominance: true,
+            ..AtpgConfig::default()
+        };
+        CampaignDriver::with_setup(shared, &config, false, false);
     }
 
     #[test]

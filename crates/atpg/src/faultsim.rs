@@ -108,6 +108,11 @@ impl ConeArena {
     fn cone(&self, net: NetId) -> &[GateId] {
         &self.gates[self.start[net.index()]..self.start[net.index() + 1]]
     }
+
+    fn heap_bytes(&self) -> usize {
+        self.start.capacity() * std::mem::size_of::<usize>()
+            + self.gates.capacity() * std::mem::size_of::<GateId>()
+    }
 }
 
 /// A reusable, cone-limited fault simulator for one circuit.
@@ -140,6 +145,12 @@ impl FaultSimulator {
     /// The fan-out cone gates of `net`, in [`Self::order`].
     pub(crate) fn cone(&self, net: NetId) -> &[GateId] {
         self.cones.cone(net)
+    }
+
+    /// Heap bytes the simulator and its cone arena hold, counted by
+    /// capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.sim.heap_bytes() + self.cones.heap_bytes()
     }
 
     /// Good-circuit net values for [`Lanes::PATTERNS`] parallel patterns.

@@ -23,11 +23,12 @@
 //!   solved by CDCL, optional fault dropping —
 //!   which is exactly the experiment behind the paper's Figure 1;
 //! - [`driver`]: the one campaign state machine, in three parts — a
-//!   read-only setup (preflight, collapse, static prune, cone simulator,
-//!   random phase), a solver context that is the only place a fault gets
-//!   solved, and a commit state that applies drop hits and emits records
-//!   — which [`campaign::run`], the `serve` daemon and [`parallel`] all
-//!   run on;
+//!   read-only setup (a per-netlist [`NetlistSetup`] of preflight,
+//!   collapse, cone simulator and static-prune mask, which the `serve`
+//!   daemon shares across campaigns, plus the campaign's random phase),
+//!   a solver context that is the only place a fault gets solved, and a
+//!   commit state that applies drop hits and emits records — which
+//!   [`campaign::run`], the `serve` daemon and [`parallel`] all run on;
 //! - [`incremental`]: the same loop against one persistent
 //!   assumption-based CDCL solver — fault-free circuit encoded once,
 //!   per-fault logic on activation literals, learnt clauses retained
@@ -80,7 +81,7 @@ pub mod verify;
 
 pub use campaign::{AtpgConfig, CampaignResult, FaultOutcome, FaultRecord, SolverChoice};
 pub use certify::{CertifiedRun, StreamSink};
-pub use driver::{CampaignDriver, DriverError};
+pub use driver::{CampaignDriver, DriverError, NetlistSetup};
 pub use fault::Fault;
 pub use faultsim::{FaultSimulator, SimBuffers, WIDE_PATTERNS};
 pub use incremental::IncrementalAtpg;

@@ -81,7 +81,7 @@ use atpg_easy_proof::Event;
 
 use crate::campaign::{AtpgConfig, CampaignResult, FaultOutcome, FaultRecord};
 use crate::certify::StreamSink;
-use crate::driver::{CampaignSetup, CommitState, Solved, SolverContext};
+use crate::driver::{CampaignSetup, CommitState, NetlistSetup, Solved, SolverContext};
 
 /// A parallel ATPG campaign: configuration plus a thread count.
 #[derive(Debug, Clone)]
@@ -174,9 +174,9 @@ impl AtpgCampaign {
     /// [`DriverError::Preflight`](crate::DriverError::Preflight) report.
     pub fn run(&self, nl: &Netlist) -> ParallelRun {
         let started = Instant::now();
-        let (setup, commit) =
-            CampaignSetup::new(nl, &self.config).unwrap_or_else(|e| panic!("{e}"));
-        let faults = setup.faults.len();
+        let shared = NetlistSetup::borrowed(nl, &self.config).unwrap_or_else(|e| panic!("{e}"));
+        let (setup, commit) = CampaignSetup::new(&shared, &self.config);
+        let faults = setup.faults().len();
         // The next fault index to hand out, shared by every worker.
         let next = AtomicUsize::new(0);
         let drop_bits = DropBitmap::new(faults);
@@ -197,7 +197,7 @@ impl AtpgCampaign {
                     .map(|id| {
                         let (setup, next, bits, committer) =
                             (&setup, &next, &drop_bits, &committer);
-                        scope.spawn(move || run_worker(id, nl, self, setup, next, bits, committer))
+                        scope.spawn(move || run_worker(id, self, setup, next, bits, committer))
                     })
                     .collect();
                 handles
@@ -402,7 +402,6 @@ impl DropBitmap {
 /// `committer` lock.
 fn run_worker(
     id: usize,
-    nl: &Netlist,
     campaign: &AtpgCampaign,
     setup: &CampaignSetup,
     next: &AtomicUsize,
@@ -414,7 +413,12 @@ fn run_worker(
         ..WorkerReport::default()
     };
     let trace_worker = campaign.tracing.then_some(id as u64);
-    let mut solver = SolverContext::new(nl, &campaign.config, trace_worker, campaign.certified);
+    let mut solver = SolverContext::new(
+        setup.netlist(),
+        &campaign.config,
+        trace_worker,
+        campaign.certified,
+    );
     loop {
         // ORDERING: Relaxed — one atomic hands each index to exactly one
         // worker under any ordering, because its read-modify-writes are
@@ -423,15 +427,15 @@ fn run_worker(
         // them, and the spawn itself is the happens-before edge for that
         // state.
         let index = next.fetch_add(1, Ordering::Relaxed);
-        if index >= setup.faults.len() {
+        if index >= setup.faults().len() {
             break;
         }
         if drop_bits.get(index) {
             report.skipped += 1;
             continue;
         }
-        let live = (0..setup.faults.len()).filter(|&j| !drop_bits.get(j));
-        let solved = solver.solve(nl, &campaign.config, setup, index, live);
+        let live = (0..setup.faults().len()).filter(|&j| !drop_bits.get(j));
+        let solved = solver.solve(&campaign.config, setup, index, live);
         report.solved += 1;
         report.solve_time += solved.record.solve_time;
         let mut locked = committer.lock().expect("no worker panics while committing");
@@ -475,7 +479,7 @@ impl Committer {
     /// and its record is held until the frontier reaches it. Within one
     /// pass, eligible window entries commit in ascending index order.
     fn drain(&mut self, setup: &CampaignSetup, drop_bits: &DropBitmap, window: usize) {
-        let faults = setup.faults.len();
+        let faults = setup.faults().len();
         let publish = |j| drop_bits.set(j);
         // Drain to a fixpoint: emitting at the frontier widens the window,
         // and a speculative commit can drop the fault the frontier waits

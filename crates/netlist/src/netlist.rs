@@ -117,6 +117,23 @@ impl Netlist {
             .map(|(i, n)| (NetId::from_index(i), n))
     }
 
+    /// Heap bytes the netlist holds, counted by capacity rather than
+    /// length: an estimate for callers that budget memory by the byte.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let names: usize = self.nets.iter().map(|n| n.name.capacity()).sum();
+        let fanins: usize = self.gates.iter().map(|g| g.inputs.capacity()).sum();
+        let keys: usize = self.by_name.keys().map(String::capacity).sum();
+        self.name.capacity()
+            + self.nets.capacity() * size_of::<Net>()
+            + names
+            + self.gates.capacity() * size_of::<Gate>()
+            + (fanins + self.inputs.capacity() + self.outputs.capacity()) * size_of::<NetId>()
+            + self.by_name.capacity() * (size_of::<(String, NetId)>() + 1)
+            + keys
+            + self.is_input.capacity()
+    }
+
     /// Iterates over all net ids.
     pub fn net_ids(&self) -> impl Iterator<Item = NetId> {
         (0..self.nets.len()).map(NetId::from_index)

@@ -73,6 +73,11 @@ impl Simulator {
         &self.order
     }
 
+    /// Heap bytes the simulator holds, counted by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.order.capacity() * std::mem::size_of::<GateId>()
+    }
+
     /// Like [`Self::run`] but forcing net `forced` to the constant word
     /// `forced_value` regardless of its driver — i.e. simulating a stuck-at
     /// fault ([`Lanes::ZERO`] for s-a-0, [`Lanes::ONES`] for s-a-1).

@@ -15,7 +15,8 @@
 //!   deadline-aware executor driving [`CampaignDriver`] state machines
 //!   a quantum of faults at a time — admission-time shedding instead of
 //!   unbounded queues, round-robin across connections, cooperative
-//!   cancellation, `catch_unwind` bug shields.
+//!   cancellation, `catch_unwind` bug shields — and a byte-bounded cache
+//!   that shares each repeated netlist's setup across its campaigns.
 //! - [`Server`]: connection plumbing over TCP or in-memory pipes; the
 //!   same framing/dispatch code serves both, so tests exercise the real
 //!   daemon in-process.
@@ -36,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub(crate) mod cache;
 pub mod client;
 pub mod clock;
 pub mod pipe;

@@ -439,6 +439,14 @@ pub struct StatsSnapshot {
     pub active: u64,
     /// The configured in-flight capacity.
     pub capacity: u64,
+    /// Campaigns that found their netlist's setup in the setup cache.
+    pub cache_hits: u64,
+    /// Campaigns that built their netlist's setup (a failed build too).
+    pub cache_misses: u64,
+    /// Setups the cache dropped to stay within its byte budget.
+    pub cache_evictions: u64,
+    /// The cache's current size, by its entries' byte estimates.
+    pub cache_bytes: u64,
 }
 
 /// A parsed server response. Fault verdicts stream one line per fault in
@@ -550,24 +558,27 @@ pub enum Response {
 impl Response {
     /// Renders as one wire line (no trailing newline).
     pub fn render(&self) -> String {
+        let mut s = String::new();
+        self.render_into(&mut s);
+        s
+    }
+
+    /// Appends the wire line [`Response::render`] returns to `out`.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Response::Accepted { id } => {
-                let mut s = String::from("{\"type\":\"accepted\"");
-                push_str(&mut s, "id", id);
-                s.push('}');
-                s
+                out.push_str("{\"type\":\"accepted\"");
+                push_str(out, "id", id);
             }
             Response::Shed {
                 id,
                 in_flight,
                 capacity,
             } => {
-                let mut s = String::from("{\"type\":\"shed\"");
-                push_str(&mut s, "id", id);
-                push_num(&mut s, "in_flight", *in_flight);
-                push_num(&mut s, "capacity", *capacity);
-                s.push('}');
-                s
+                out.push_str("{\"type\":\"shed\"");
+                push_str(out, "id", id);
+                push_num(out, "in_flight", *in_flight);
+                push_num(out, "capacity", *capacity);
             }
             Response::Start {
                 id,
@@ -575,13 +586,11 @@ impl Response {
                 sim_detected,
                 random_tests,
             } => {
-                let mut s = String::from("{\"type\":\"start\"");
-                push_str(&mut s, "id", id);
-                push_num(&mut s, "faults", *faults);
-                push_num(&mut s, "sim_detected", *sim_detected);
-                push_num(&mut s, "random_tests", *random_tests);
-                s.push('}');
-                s
+                out.push_str("{\"type\":\"start\"");
+                push_str(out, "id", id);
+                push_num(out, "faults", *faults);
+                push_num(out, "sim_detected", *sim_detected);
+                push_num(out, "random_tests", *random_tests);
             }
             Response::Verdict {
                 id,
@@ -591,29 +600,25 @@ impl Response {
                 verdict,
                 vector,
             } => {
-                let mut s = String::from("{\"type\":\"verdict\"");
-                push_str(&mut s, "id", id);
-                push_num(&mut s, "seq", *seq);
-                push_num(&mut s, "net", *net);
-                push_num(&mut s, "stuck", *stuck);
-                push_str(&mut s, "verdict", verdict);
+                out.push_str("{\"type\":\"verdict\"");
+                push_str(out, "id", id);
+                push_num(out, "seq", *seq);
+                push_num(out, "net", *net);
+                push_num(out, "stuck", *stuck);
+                push_str(out, "verdict", verdict);
                 if let Some(v) = vector {
-                    push_str(&mut s, "vector", v);
+                    push_str(out, "vector", v);
                 }
-                s.push('}');
-                s
             }
             Response::Cert {
                 id,
                 seq,
                 proof_bytes,
             } => {
-                let mut s = String::from("{\"type\":\"cert\"");
-                push_str(&mut s, "id", id);
-                push_num(&mut s, "seq", *seq);
-                push_num(&mut s, "proof_bytes", *proof_bytes);
-                s.push('}');
-                s
+                out.push_str("{\"type\":\"cert\"");
+                push_str(out, "id", id);
+                push_num(out, "seq", *seq);
+                push_num(out, "proof_bytes", *proof_bytes);
             }
             Response::Audit {
                 id,
@@ -622,14 +627,12 @@ impl Response {
                 uncertified,
                 ok,
             } => {
-                let mut s = String::from("{\"type\":\"audit\"");
-                push_str(&mut s, "id", id);
-                push_num(&mut s, "certified", *certified);
-                push_num(&mut s, "failed", *failed);
-                push_num(&mut s, "uncertified", *uncertified);
-                push_bool(&mut s, "ok", *ok);
-                s.push('}');
-                s
+                out.push_str("{\"type\":\"audit\"");
+                push_str(out, "id", id);
+                push_num(out, "certified", *certified);
+                push_num(out, "failed", *failed);
+                push_num(out, "uncertified", *uncertified);
+                push_bool(out, "ok", *ok);
             }
             Response::Done {
                 id,
@@ -641,45 +644,44 @@ impl Response {
                 solves,
                 wall_ms,
             } => {
-                let mut s = String::from("{\"type\":\"done\"");
-                push_str(&mut s, "id", id);
-                push_str(&mut s, "status", status.as_str());
-                push_num(&mut s, "detected", *detected);
-                push_num(&mut s, "untestable", *untestable);
-                push_num(&mut s, "aborted", *aborted);
-                push_num(&mut s, "deadlined", *deadlined);
-                push_num(&mut s, "solves", *solves);
-                push_num(&mut s, "wall_ms", *wall_ms);
-                s.push('}');
-                s
+                out.push_str("{\"type\":\"done\"");
+                push_str(out, "id", id);
+                push_str(out, "status", status.as_str());
+                push_num(out, "detected", *detected);
+                push_num(out, "untestable", *untestable);
+                push_num(out, "aborted", *aborted);
+                push_num(out, "deadlined", *deadlined);
+                push_num(out, "solves", *solves);
+                push_num(out, "wall_ms", *wall_ms);
             }
             Response::Error { id, code, msg } => {
-                let mut s = String::from("{\"type\":\"error\"");
+                out.push_str("{\"type\":\"error\"");
                 if let Some(id) = id {
-                    push_str(&mut s, "id", id);
+                    push_str(out, "id", id);
                 }
-                push_str(&mut s, "code", code.as_str());
-                push_str(&mut s, "msg", msg);
-                s.push('}');
-                s
+                push_str(out, "code", code.as_str());
+                push_str(out, "msg", msg);
             }
-            Response::Pong => "{\"type\":\"pong\"}".to_string(),
+            Response::Pong => out.push_str("{\"type\":\"pong\""),
             Response::Stats(t) => {
-                let mut s = String::from("{\"type\":\"stats\"");
-                push_num(&mut s, "admitted", t.admitted);
-                push_num(&mut s, "shed", t.shed);
-                push_num(&mut s, "completed", t.completed);
-                push_num(&mut s, "cancelled", t.cancelled);
-                push_num(&mut s, "failed", t.failed);
-                push_num(&mut s, "deadline_expired", t.deadline_expired);
-                push_num(&mut s, "solves", t.solves);
-                push_num(&mut s, "steps", t.steps);
-                push_num(&mut s, "active", t.active);
-                push_num(&mut s, "capacity", t.capacity);
-                s.push('}');
-                s
+                out.push_str("{\"type\":\"stats\"");
+                push_num(out, "admitted", t.admitted);
+                push_num(out, "shed", t.shed);
+                push_num(out, "completed", t.completed);
+                push_num(out, "cancelled", t.cancelled);
+                push_num(out, "failed", t.failed);
+                push_num(out, "deadline_expired", t.deadline_expired);
+                push_num(out, "solves", t.solves);
+                push_num(out, "steps", t.steps);
+                push_num(out, "active", t.active);
+                push_num(out, "capacity", t.capacity);
+                push_num(out, "cache_hits", t.cache_hits);
+                push_num(out, "cache_misses", t.cache_misses);
+                push_num(out, "cache_evictions", t.cache_evictions);
+                push_num(out, "cache_bytes", t.cache_bytes);
             }
         }
+        out.push('}');
     }
 
     /// Parses one response line (client side).
@@ -755,6 +757,11 @@ impl Response {
                 steps: f.req("steps")?,
                 active: f.req("active")?,
                 capacity: f.req("capacity")?,
+                // An older daemon sends no cache counters.
+                cache_hits: f.opt("cache_hits")?.unwrap_or(0),
+                cache_misses: f.opt("cache_misses")?.unwrap_or(0),
+                cache_evictions: f.opt("cache_evictions")?.unwrap_or(0),
+                cache_bytes: f.opt("cache_bytes")?.unwrap_or(0),
             })),
             other => Err(ProtoError::new(
                 ErrorCode::UnknownType,
@@ -879,12 +886,54 @@ mod tests {
                 steps: 66,
                 active: 0,
                 capacity: 4,
+                cache_hits: 2,
+                cache_misses: 1,
+                cache_evictions: 0,
+                cache_bytes: 4096,
             }),
         ];
         for r in all {
             let line = r.render();
             assert_eq!(Response::parse(&line).unwrap(), r, "{line}");
         }
+    }
+
+    #[test]
+    fn stats_cache_counters_round_trip_and_default_to_zero() {
+        let stats = StatsSnapshot {
+            admitted: 5,
+            completed: 5,
+            steps: 40,
+            capacity: 16,
+            cache_hits: 3,
+            cache_misses: 2,
+            cache_evictions: 1,
+            cache_bytes: 123_456,
+            ..StatsSnapshot::default()
+        };
+        let line = Response::Stats(stats).render();
+        assert!(line.ends_with(
+            ",\"cache_hits\":3,\"cache_misses\":2,\"cache_evictions\":1,\"cache_bytes\":123456}"
+        ));
+        assert_eq!(Response::parse(&line).unwrap(), Response::Stats(stats));
+        // A stats line from a daemon without the setup cache.
+        let old = "{\"type\":\"stats\",\"admitted\":5,\"shed\":0,\"completed\":5,\
+                   \"cancelled\":0,\"failed\":0,\"deadline_expired\":0,\"solves\":7,\
+                   \"steps\":40,\"active\":0,\"capacity\":16}";
+        let Ok(Response::Stats(parsed)) = Response::parse(old) else {
+            panic!("an older stats line must parse");
+        };
+        assert_eq!(
+            parsed,
+            StatsSnapshot {
+                cache_hits: 0,
+                cache_misses: 0,
+                cache_evictions: 0,
+                cache_bytes: 0,
+                solves: 7,
+                ..stats
+            }
+        );
     }
 
     #[test]

@@ -37,18 +37,22 @@
 //! - **Panic shielding.** Building and stepping run under
 //!   `catch_unwind`: a pathological request yields a typed `internal`
 //!   error for that campaign, never a dead worker.
+//! - **Shared setup.** A build looks the netlist up in the setup cache
+//!   ([`crate::cache`]) and parses and builds only on a miss, so
+//!   campaigns on a repeated netlist share its per-netlist setup.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::Sender;
 use std::time::Duration;
 
-use atpg_easy_atpg::{CampaignDriver, DriverError, FaultOutcome};
+use atpg_easy_atpg::{CampaignDriver, DriverError, FaultOutcome, NetlistSetup};
 use atpg_easy_netlist::parser::bench;
 use atpg_easy_obs::{CampaignMeta, SharedSink, TraceSink};
 use atpg_easy_syncx::atomic::{AtomicBool, AtomicU64, Ordering};
 use atpg_easy_syncx::{Arc, Mutex};
 
+use crate::cache::{SetupCache, SetupKey, SETUP_CACHE_BYTES};
 use crate::clock::Clock;
 use crate::proto::{
     CampaignOptions, DoneStatus, ErrorCode, Response, StatsSnapshot, DEFAULT_MAX_LINE_BYTES,
@@ -103,7 +107,9 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// A point-in-time copy, with `capacity` stamped in from config.
+    /// A point-in-time copy, with `capacity` stamped in from config. The
+    /// setup cache's counters are not pool counters; they read 0 here,
+    /// and the daemon's `stats` reply fills them in.
     pub fn snapshot(&self, capacity: u64) -> StatsSnapshot {
         // ORDERING: Relaxed — see the struct-level note.
         StatsSnapshot {
@@ -117,15 +123,17 @@ impl PoolStats {
             steps: self.steps.load(Ordering::Relaxed),
             active: self.active.load(Ordering::Relaxed),
             capacity,
+            ..StatsSnapshot::default()
         }
     }
 }
 
 /// A campaign's progress through the executor.
 enum Work {
-    /// Admitted but not yet built; the first quantum parses the netlist
-    /// and constructs the driver (so even building happens on a worker,
-    /// not on the connection's reader thread).
+    /// Admitted but not yet built; the first quantum looks the netlist
+    /// up in the setup cache and constructs the driver (so even building
+    /// happens on a worker, not on the connection's reader thread). The
+    /// build moves `netlist` out, into the cache key.
     Unbuilt {
         netlist: String,
         options: CampaignOptions,
@@ -196,6 +204,9 @@ pub(crate) struct Scheduler {
     /// Request-scoped telemetry tee, if the daemon was started with one.
     trace_sink: Option<SharedSink>,
     next_job: AtomicU64,
+    /// Per-netlist setups shared across campaigns. Locked only to look up
+    /// and insert, never while a setup is built.
+    cache: Mutex<SetupCache>,
 }
 
 /// What a worker decided after one scheduling slice.
@@ -218,6 +229,7 @@ impl Scheduler {
             clock,
             trace_sink,
             next_job: AtomicU64::new(0),
+            cache: Mutex::new(SetupCache::new(SETUP_CACHE_BYTES)),
         }
     }
 
@@ -351,11 +363,17 @@ impl Scheduler {
     }
 
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        self.stats.snapshot(self.config.capacity as u64)
+        let mut stats = self.stats.snapshot(self.config.capacity as u64);
+        self.lock_cache().fill(&mut stats);
+        stats
     }
 
     fn lock_ready(&self) -> std::sync::MutexGuard<'_, Ready> {
         self.ready.lock().expect("scheduler mutex")
+    }
+
+    fn lock_cache(&self) -> std::sync::MutexGuard<'_, SetupCache> {
+        self.cache.lock().expect("setup cache mutex")
     }
 
     fn enqueue(ready: &mut Ready, job: Job, front: bool) {
@@ -471,29 +489,45 @@ impl Scheduler {
         job.deadline_at.is_some_and(|at| self.clock.now_ms() >= at)
     }
 
-    /// Parses the netlist and constructs the driver (under a panic
-    /// shield). `Some(status)` short-circuits to finalization.
+    /// Takes the netlist's setup from the cache, or parses and builds it
+    /// and caches it, then constructs the driver (under a panic shield).
+    /// `Some(status)` short-circuits to finalization.
     fn build(&self, job: &mut Job) -> Option<DoneStatus> {
-        let Work::Unbuilt { netlist, options } = &job.work else {
+        let Work::Unbuilt { netlist, options } = &mut job.work else {
             return None;
         };
-        let (netlist, options) = (netlist.clone(), options.clone());
-        let req_id = job.req_id.clone();
+        let key = SetupKey {
+            text: std::mem::take(netlist),
+            collapse: options.collapse,
+            dominance: options.dominance,
+        };
+        let config = options.to_config();
+        let (trace, certify) = (options.trace, options.certify);
+        let req_id = &job.req_id;
         let built =
             panic::catch_unwind(AssertUnwindSafe(|| -> Result<CampaignDriver, Response> {
-                let nl = bench::parse(&netlist).map_err(|e| Response::Error {
-                    id: Some(req_id.clone()),
-                    code: ErrorCode::BadField,
-                    msg: format!("netlist does not parse: {e}"),
-                })?;
-                let config = options.to_config();
-                CampaignDriver::try_new(nl, &config, options.trace, options.certify).map_err(
-                    |DriverError::Preflight(msg)| Response::Error {
-                        id: Some(req_id.clone()),
-                        code: ErrorCode::Preflight,
-                        msg,
-                    },
-                )
+                let cached = self.lock_cache().get(&key);
+                let setup = match cached {
+                    Some(setup) => setup,
+                    None => {
+                        let nl = bench::parse(&key.text).map_err(|e| Response::Error {
+                            id: Some(req_id.clone()),
+                            code: ErrorCode::BadField,
+                            msg: format!("netlist does not parse: {e}"),
+                        })?;
+                        let setup = NetlistSetup::new(nl, &config).map_err(
+                            |DriverError::Preflight(msg)| Response::Error {
+                                id: Some(req_id.clone()),
+                                code: ErrorCode::Preflight,
+                                msg,
+                            },
+                        )?;
+                        let setup = std::sync::Arc::new(setup);
+                        self.lock_cache().insert(key, std::sync::Arc::clone(&setup));
+                        setup
+                    }
+                };
+                Ok(CampaignDriver::with_setup(setup, &config, trace, certify))
             }));
         match built {
             Ok(Ok(driver)) => {
@@ -757,14 +791,14 @@ impl Scheduler {
 /// messages are newline-terminated — the writer forwards them verbatim,
 /// which is what lets a worker batch a whole quantum into one message.
 pub(crate) fn send_line(reply: &Sender<String>, response: &Response) -> bool {
-    let mut line = response.render();
-    line.push('\n');
+    let mut line = String::new();
+    push_line(&mut line, response);
     reply.send(line).is_ok()
 }
 
 /// Appends one response line to a pending batch.
 fn push_line(batch: &mut String, response: &Response) {
-    batch.push_str(&response.render());
+    response.render_into(batch);
     batch.push('\n');
 }
 

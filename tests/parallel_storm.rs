@@ -6,8 +6,9 @@
 //!
 //! This complements the `loom_parallel` model tests: loom explores every
 //! interleaving of a tiny protocol model; this test hammers the full
-//! engine — shared fault cursor, speculative solves, drop bitmap, mpsc
-//! hand-off, committer — with genuinely concurrent workers.
+//! engine — shared fault cursor, speculative solves, drop bitmap, and
+//! workers that each commit their own solves under one lock — with
+//! genuinely concurrent workers.
 
 use atpg_easy_atpg::{campaign, AtpgCampaign, AtpgConfig};
 use atpg_easy_circuits::random::{generate, RandomCircuitConfig};

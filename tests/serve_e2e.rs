@@ -8,7 +8,12 @@
 //! assign dense indices), so the library reference runs on the *parsed*
 //! text — exactly the netlist the server builds — not on the original
 //! `Netlist` object.
+//!
+//! The daemon builds each netlist's setup once and shares it across
+//! campaigns; repeating every suite netlist checks that a shared setup
+//! streams the same report as a fresh one.
 
+use std::collections::HashSet;
 use std::time::Duration;
 
 use atpg_easy::atpg::{campaign, SolverChoice};
@@ -221,4 +226,88 @@ fn static_prune_streams_redundant_verdicts_and_preserves_the_report() {
     };
     let want = campaign::run(&parsed, &opts.to_config());
     assert_eq!(pruned.detection_report(), want.detection_report());
+}
+
+/// Every suite netlist sent four times on its own connection, with
+/// `static_prune` off, on, off and on: all but the first campaign on a
+/// text take its setup from the cache, whose counters say so, and every
+/// report stays byte-identical to `campaign::run` on the parsed text.
+#[test]
+fn repeated_netlists_share_their_setup_and_keep_reports_identical() {
+    let suite: Vec<(String, String, atpg_easy::netlist::Netlist)> = suite::mcnc_like()
+        .into_iter()
+        .chain(suite::iscas_like())
+        .map(|c| {
+            let text = bench::write(&c.netlist).expect("suite renders");
+            let parsed = bench::parse(&text).expect("suite round-trips");
+            (c.name, text, parsed)
+        })
+        .collect();
+    let prunes = [false, true, false, true];
+    let opts = |static_prune: bool| CampaignOptions {
+        static_prune,
+        ..options()
+    };
+    let want: Vec<[String; 2]> = suite
+        .iter()
+        .map(|(_, _, parsed)| {
+            [false, true].map(|p| campaign::run(parsed, &opts(p).to_config()).detection_report())
+        })
+        .collect();
+    let texts = suite
+        .iter()
+        .map(|(_, text, _)| text)
+        .collect::<HashSet<_>>();
+    let sent = (suite.len() * prunes.len()) as u64;
+
+    for workers in [1, 8] {
+        let server = Server::start(ServeConfig {
+            workers,
+            capacity: sent as usize,
+            quantum: 4,
+            ..ServeConfig::default()
+        });
+        let mut clients: Vec<PipeClient> = suite
+            .iter()
+            .map(|(name, text, _)| {
+                let mut client = PipeClient::connect(&server);
+                client.set_recv_timeout(Some(RECV_TIMEOUT));
+                for (k, &static_prune) in prunes.iter().enumerate() {
+                    client
+                        .send(&atpg_easy::serve::Request::Campaign {
+                            id: format!("{name}#{k}"),
+                            netlist: text.clone(),
+                            options: opts(static_prune),
+                        })
+                        .expect("submit");
+                }
+                client
+            })
+            .collect();
+        for (((name, _, _), client), want) in suite.iter().zip(&mut clients).zip(&want) {
+            for (k, &static_prune) in prunes.iter().enumerate() {
+                let id = format!("{name}#{k}");
+                let sub = client.collect(&id).expect("campaign stream");
+                let Submission::Completed(outcome) = sub else {
+                    panic!("{id}: expected completion, got {sub:?}");
+                };
+                assert_eq!(outcome.done.status, DoneStatus::Ok, "{id}");
+                assert_eq!(
+                    outcome.detection_report(),
+                    want[usize::from(static_prune)],
+                    "{id}: a served report diverged from campaign::run at {workers} workers"
+                );
+            }
+        }
+        let stats = clients[0].stats().expect("stats");
+        assert_eq!(stats.cache_hits + stats.cache_misses, sent, "{stats:?}");
+        // Two tenants with one text may both miss when they build at once.
+        let distinct = texts.len() as u64;
+        assert!(stats.cache_misses >= distinct, "{stats:?}");
+        if workers == 1 {
+            assert_eq!(stats.cache_misses, distinct, "{stats:?}");
+        }
+        assert_eq!(stats.cache_evictions, 0, "{stats:?}");
+        assert!(stats.cache_bytes > 0, "{stats:?}");
+    }
 }
